@@ -9,6 +9,7 @@ from .cavity import (
     bose_einstein,
     composite,
     fresnel,
+    occupation,
     photon_numbers,
     total_photon_number,
 )
@@ -21,6 +22,7 @@ from .forces import (
     SpectralForce,
     ThermalScenario,
     ar_interface_forces,
+    beam_ratio,
     force_density_decomposition,
     integrate_spectrum,
     ldos,

@@ -14,19 +14,28 @@ and the directional photon numbers in each layer are linear in the two
 input occupations <n_1+> and <n_3->, with the intracavity numbers divided
 by Re[1 + 2 R1' R2 nu2 e^{2 i k2 d2}].  For a lossless stack every output
 lies between the two inputs, so equal inputs are a fixed point.
+
+Every function broadcasts over numpy arrays of omega, of the input
+occupations and of the stack parameters themselves: one call evaluates a
+whole grid.  The Fresnel coefficients are computed once per stack.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .constants import C, HBAR, KB
-from .errors import NumericalGuardError
+from .errors import NumericalGuardError, at_row, first_row, nonfinite
+
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m)."""
+    """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m),
+    each a scalar or an array."""
 
     eps1: float
     eps2: float
@@ -34,28 +43,34 @@ class LayerStack:
     d2: float
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "eps3"):
-            eps = getattr(self, name)
-            if not math.isfinite(eps) or eps < 1:
-                raise ValueError(f"{name} must be real and >= 1, got {eps}")
-        if not math.isfinite(self.d2) or self.d2 <= 0:
-            raise ValueError(f"d2 must be positive, got {self.d2}")
+        for name in ("eps1", "eps2", "eps3", "d2"):
+            value = getattr(self, name)
+            low = value <= 0 if name == "d2" else value < 1
+            row = first_row(nonfinite(value) | low)
+            if row is not None:
+                need = "positive" if name == "d2" else "real and >= 1"
+                raise ValueError(f"{name} must be {need}, got {at_row(value, row)}")
 
     @property
     def n1(self):
-        return math.sqrt(self.eps1)
+        return self.eps1**0.5
 
     @property
     def n2(self):
-        return math.sqrt(self.eps2)
+        return self.eps2**0.5
 
     @property
     def n3(self):
-        return math.sqrt(self.eps3)
+        return self.eps3**0.5
 
     def k2(self, omega):
         """Wavenumber inside the cavity layer, n2*omega/c (1/m)."""
         return self.n2 * omega / C
+
+    @cached_property
+    def interfaces(self):
+        """Fresnel coefficients of the interfaces n1|n2 and n2|n3."""
+        return fresnel(self.n1, self.n2), fresnel(self.n2, self.n3)
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,7 @@ class InterfaceCoefficients:
 
 def fresnel(n_a, n_b):
     """Normal-incidence Fresnel coefficients for the interface n_a | n_b."""
-    if n_a < 1 or n_b < 1:
+    if first_row((n_a < 1) | (n_b < 1)) is not None:
         raise ValueError(f"indices must be >= 1, got {n_a}, {n_b}")
     s = n_a + n_b
     r = (n_a - n_b) / s
@@ -79,7 +94,8 @@ def fresnel(n_a, n_b):
 
 @dataclass(frozen=True)
 class CompositeCoefficients:
-    """Composite amplitudes of the three-layer stack at one frequency."""
+    """Composite amplitudes of the three-layer stack over omega; R2, T2, R1'
+    and T1' are the real single-interface values."""
 
     nu2: complex
     R1: complex
@@ -94,46 +110,55 @@ class CompositeCoefficients:
 
 
 def _phase_factor(stack, omega):
-    # Reduce 2*k2*d2 mod 2*pi before exponentiating to limit
-    # argument-reduction error for optically thick cavities.
-    phase = math.remainder(2.0 * stack.k2(omega) * stack.d2, 2.0 * math.pi)
-    return cmath.exp(1j * phase)
+    # Reduce 2*k2*d2 to [-pi, pi] before exponentiating to limit
+    # argument-reduction error for optically thick cavities.  The phase is
+    # positive, so % is an exact fmod, and the shift by 2*pi is exact too
+    # (Sterbenz).
+    phase = 2.0 * stack.k2(omega) * stack.d2 % _TWO_PI
+    phase = phase - _TWO_PI * (phase > math.pi)
+    return _plain(np.exp(1j * phase))
+
+
+def _plain(x):
+    """A scalar result as a Python number, arrays as they are: arithmetic on
+    numpy scalars costs several times more, which one-point grids feel."""
+    return x if isinstance(x, np.ndarray) else x.item()
 
 
 def composite(stack, omega):
     """Composite reflection/transmission amplitudes and the photon-number
     denominator for the stack at angular frequency omega (rad/s)."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    i1 = fresnel(stack.n1, stack.n2)
-    i2 = fresnel(stack.n2, stack.n3)
+    row = first_row(omega <= 0)
+    if row is not None:
+        raise ValueError(f"omega must be positive, got {at_row(omega, row)}")
+    i1, i2 = stack.interfaces
     e = _phase_factor(stack, omega)
     base = 1.0 + i1.r * i2.r * e
-    if abs(base) < 1e-14:
+    row = first_row(_abs_sq(base) < 1e-28)  # |base| < 1e-14
+    if row is not None:
         raise NumericalGuardError(
-            f"degenerate resonance: |1 + r1 r2 e^(2 i k2 d2)| = {abs(base):g}"
+            "degenerate resonance: |1 + r1 r2 e^(2 i k2 d2)| = "
+            f"{abs(at_row(base, row)):g}",
+            row=row,
         )
     nu2 = 1.0 / base
-    R1 = (i1.r + i2.r * e) * nu2
-    R2p = (i2.r_p + i1.r_p * e) * nu2
-    denom = (1.0 + 2.0 * i1.r_p * i2.r * nu2 * e).real
     return CompositeCoefficients(
         nu2=nu2,
-        R1=R1,
-        R2=complex(i2.r),
+        R1=(i1.r + i2.r * e) * nu2,
+        R2=i2.r,
         T1=i1.t * nu2,
-        T2=complex(i2.t),
-        R1p=complex(i1.r_p),
-        R2p=R2p,
-        T1p=complex(i1.t_p),
+        T2=i2.t,
+        R1p=i1.r_p,
+        R2p=(i2.r_p + i1.r_p * e) * nu2,
+        T1p=i1.t_p,
         T2p=i2.t_p * nu2,
-        denom=denom,
+        denom=(1.0 + 2.0 * i1.r_p * i2.r * nu2 * e).real,
     )
 
 
 @dataclass(frozen=True)
 class DirectionalPhotonNumbers:
-    """The six directional photon-number expectation values at one frequency."""
+    """The six directional photon-number expectation values over omega."""
 
     n1p: float
     n1m: float
@@ -143,22 +168,31 @@ class DirectionalPhotonNumbers:
     n3m: float
 
 
-def photon_numbers(stack, omega, in1, in3):
-    """Directional photon numbers for inputs <n_1+> = in1, <n_3-> = in3."""
-    if in1 < 0 or in3 < 0:
+def _abs_sq(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def photon_numbers(stack, omega, in1, in3, amplitudes=None):
+    """Directional photon numbers for inputs <n_1+> = in1, <n_3-> = in3.
+
+    `amplitudes` is composite(stack, omega) when the caller already has it.
+    """
+    if first_row((in1 < 0) | (in3 < 0)) is not None:
         raise ValueError(f"input photon numbers must be >= 0, got {in1}, {in3}")
-    cc = composite(stack, omega)
+    cc = composite(stack, omega) if amplitudes is None else amplitudes
+    i1, i2 = stack.interfaces
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
-    n1m = abs(cc.R1) ** 2 * in1 + (n1 / n3) * abs(cc.T1p * cc.T2p) ** 2 * in3
+    # Every amplitude but R1 and R2' is a real constant times nu2.
+    nu_sq = _abs_sq(cc.nu2)
+    cavity = nu_sq / cc.denom
+    n1m = _abs_sq(cc.R1) * in1 + (n1 / n3) * (i1.t_p * i2.t_p) ** 2 * in3 * nu_sq
     n2p = (
-        (n2 / n1) * abs(cc.T1) ** 2 * in1
-        + (n2 / n3) * abs(cc.T2p * cc.R1p) ** 2 * in3
-    ) / cc.denom
+        (n2 / n1) * i1.t**2 * in1 + (n2 / n3) * (i2.t_p * i1.r_p) ** 2 * in3
+    ) * cavity
     n2m = (
-        (n2 / n1) * abs(cc.T1 * cc.R2) ** 2 * in1
-        + (n2 / n3) * abs(cc.T2p) ** 2 * in3
-    ) / cc.denom
-    n3p = (n3 / n1) * abs(cc.T1 * cc.T2) ** 2 * in1 + abs(cc.R2p) ** 2 * in3
+        (n2 / n1) * (i1.t * i2.r) ** 2 * in1 + (n2 / n3) * i2.t_p**2 * in3
+    ) * cavity
+    n3p = (n3 / n1) * (i1.t * i2.t) ** 2 * in1 * nu_sq + _abs_sq(cc.R2p) * in3
     return DirectionalPhotonNumbers(
         n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3
     )
@@ -167,22 +201,34 @@ def photon_numbers(stack, omega, in1, in3):
 def total_photon_number(n_plus, n_minus):
     """Total photon number of a homogeneous lossless layer: the equal-weight
     average of the two directional values."""
-    if n_plus < 0 or n_minus < 0:
+    if first_row((n_plus < 0) | (n_minus < 0)) is not None:
         raise ValueError(f"photon numbers must be >= 0, got {n_plus}, {n_minus}")
     return 0.5 * (n_plus + n_minus)
 
 
 def bose_einstein(omega, T):
     """Thermal occupation 1/(e^{hbar*omega/kB*T} - 1), stable at both ends."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    row = first_row(omega <= 0)
+    if row is not None:
+        raise ValueError(f"omega must be positive, got {at_row(omega, row)}")
     if T < 0:
         raise ValueError(f"temperature must be >= 0, got {T}")
     if T == 0:
-        return 0.0
+        return 0.0 * omega
     x = HBAR * omega / (KB * T)
-    if x > 700.0:
-        return 0.0
-    if x < 1e-8:
-        return 1.0 / x
-    return 1.0 / math.expm1(x)
+    # e^-x / (1 - e^-x) cannot overflow; x > 700 is cut to 0 and x < 1e-8
+    # takes the Rayleigh-Jeans form 1/x
+    n = (x <= 700.0) * np.exp(-x) / -np.expm1(-x)
+    if first_row(x < 1e-8) is not None:
+        n = np.where(x < 1e-8, 1.0 / x, n)[()]
+    return _plain(n)
+
+
+def occupation(omega, fixed=None, temperature=None):
+    """Input occupation of one side over omega: the `fixed` value if given,
+    else the Bose-Einstein occupation at `temperature` (K) if given, else 0."""
+    if fixed is not None:
+        return fixed
+    if temperature is not None:
+        return bose_einstein(omega, temperature)
+    return 0.0

@@ -10,16 +10,15 @@ line win over the file, and `section.key=value` targets another section
 out-of-range values are rejected with exit code 2; physics-infeasibility
 errors exit 3; numerical-guard trips exit 4.
 
-Grid rows may be evaluated in parallel (--jobs), but output assembly is
-always in row order, so results are byte-identical regardless of
-parallelism.
+Each grid is evaluated as whole numpy columns in one pass.  --jobs is
+accepted for compatibility and has no effect: output is byte-identical for
+every value.
 """
 
 import argparse
 import configparser
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +26,9 @@ from . import cavity as cav
 from . import forces as frc
 from . import kinematics as kin
 from .constants import CONSTANTS_VERSION, EV, HBAR
-from .errors import ConfigError, FeasibilityError, NumericalGuardError, PhotonForcesError
+from .errors import (
+    ConfigError, FeasibilityError, NumericalGuardError, PhotonForcesError, first_row,
+)
 from .table import ResultTable
 
 _BASE_METADATA = {
@@ -166,11 +167,38 @@ def load_config(path, command, overrides=()):
     return params
 
 
-def _map_rows(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+_FORCE_COLUMNS = ("zcf1", "tcf1", "ncf1", "zcf2", "tcf2", "ncf2", "net_pressure",
+                  "net_impulse", "F1", "F2", "F1_plus_F2")
+_UNITS = {"omega_ev": "eV", "V_r": "m/s", **dict.fromkeys(_FORCE_COLUMNS, "N/(rad/s)")}
+
+
+def _grid_table(command, params, grid, label, columns, **metadata):
+    """Evaluate `columns(x)`, a {name: values} dict, once over the whole grid
+    and build the table; scalar values are broadcast over the rows.
+
+    A one-point grid is passed as a Python float: numpy's per-call overhead
+    on 1-element arrays would cost more than the computation.  Feasibility
+    and guard errors are re-raised naming their row and `label(grid value)`.
+    """
+    try:
+        cols = columns(grid.item() if grid.size == 1 else grid)
+    except (FeasibilityError, NumericalGuardError) as exc:
+        if exc.row is None:
+            raise
+        raise type(exc)(f"row {exc.row} ({label(grid[exc.row])}): {exc}") from exc
+    if grid.size == 1:
+        data = np.array([list(cols.values())], dtype=float)
+    else:
+        data = np.empty((len(cols), grid.size))
+        for j, values in enumerate(cols.values()):
+            data[j] = values
+        data = data.T
+    return ResultTable(
+        columns=list(cols),
+        units=[_UNITS.get(name, "-") for name in cols],
+        data=data,
+        metadata={**_BASE_METADATA, "command": command, "config": dict(params), **metadata},
+    )
 
 
 def _convention(params):
@@ -186,7 +214,7 @@ def _convention(params):
     raise ConfigError(f"unknown convention {params['convention']!r}")
 
 
-def run_polariton(params, jobs=1):
+def run_polariton(params):
     conv = _convention(params)
     photon = kin.PhotonInput(omega=params["energy_ev"] * EV / HBAR)
     hw = photon.energy
@@ -195,39 +223,19 @@ def run_polariton(params, jobs=1):
         raise ConfigError("n_points must be >= 1")
     grid = np.linspace(params["n_min"], params["n_max"], params["n_points"])
 
-    def row(item):
-        i, n = item
-        block = kin.MediumBlock(n=float(n), M=params["mass_kg"], L=params["length_m"])
-        try:
-            sol = kin.solve_transmission(photon, block, conv)
-        except FeasibilityError as exc:
-            raise FeasibilityError(f"row {i} (n={n:g}): {exc}") from exc
+    def columns(n):
+        block = kin.MediumBlock(n=n, M=params["mass_kg"], L=params["length_m"])
+        sol = kin.solve_transmission(photon, block, conv)
         v_before, v_after = kin.cev_check(photon, block, sol)
-        return [
-            n,
-            sol.E / hw,
-            sol.E_f / hw,
-            sol.E_d / hw,
-            sol.p / hk0,
-            sol.p_f / hk0,
-            sol.p_d / hk0,
-            sol.delta_m * kin.C**2 / hw,
-            sol.V_r,
-            (v_after - v_before) / v_before,
-        ]
+        return {
+            "n": n, "E_over_hw": sol.E / hw, "Ef_over_hw": sol.E_f / hw,
+            "Ed_over_hw": sol.E_d / hw, "p_over_hk0": sol.p / hk0,
+            "pf_over_hk0": sol.p_f / hk0, "pd_over_hk0": sol.p_d / hk0,
+            "dmc2_over_hw": sol.delta_m * kin.C**2 / hw, "V_r": sol.V_r,
+            "cev_residual": (v_after - v_before) / v_before,
+        }
 
-    table = ResultTable(
-        columns=[
-            "n", "E_over_hw", "Ef_over_hw", "Ed_over_hw",
-            "p_over_hk0", "pf_over_hk0", "pd_over_hk0",
-            "dmc2_over_hw", "V_r", "cev_residual",
-        ],
-        units=["-", "-", "-", "-", "-", "-", "-", "-", "m/s", "-"],
-        metadata={**_BASE_METADATA, "command": "polariton", "config": dict(params)},
-    )
-    for r in _map_rows(row, list(enumerate(grid)), jobs):
-        table.append(r)
-    return table
+    return _grid_table("polariton", params, grid, "n={:g}".format, columns)
 
 
 def _omega_grid(params):
@@ -245,17 +253,21 @@ def _omega_grid(params):
     return np.linspace(w_min, w_max, points)
 
 
-def _occupation(params, omega, side):
-    occ_key, temp_key = ("in1", "t_left_k") if side == "left" else ("in3", "t_right_k")
-    occ = params.get(occ_key)
-    temp = params.get(temp_key)
-    if occ is not None and temp is not None:
-        raise ConfigError(f"give either {occ_key} or {temp_key}, not both")
-    if occ is not None:
-        return occ
-    if temp is not None:
-        return cav.bose_einstein(omega, temp)
-    return 0.0
+def _omega_label(omega):
+    return f"omega={omega * HBAR / EV:g} eV"
+
+
+def _inputs(params, omega):
+    """Input occupations (in1, in3) over omega, each from a fixed occupation
+    or a temperature key."""
+    out = []
+    for occ_key, temp_key in (("in1", "t_left_k"), ("in3", "t_right_k")):
+        occ = params.get(occ_key)
+        temp = params.get(temp_key)
+        if occ is not None and temp is not None:
+            raise ConfigError(f"give either {occ_key} or {temp_key}, not both")
+        out.append(cav.occupation(omega, occ, temp))
+    return out
 
 
 def _stack(params):
@@ -265,81 +277,57 @@ def _stack(params):
     return cav.LayerStack(params["eps1"], params["eps2"], params["eps3"], params["d2_m"])
 
 
-def run_cavity(params, jobs=1):
+def run_cavity(params):
     stack = _stack(params)
-    grid = _omega_grid(params)
 
-    def row(omega):
-        in1 = _occupation(params, omega, "left")
-        in3 = _occupation(params, omega, "right")
-        numbers = cav.photon_numbers(stack, omega, in1, in3)
+    def columns(omega):
+        in1, in3 = _inputs(params, omega)
         cc = cav.composite(stack, omega)
+        pn = cav.photon_numbers(stack, omega, in1, in3, amplitudes=cc)
         r1_sq = abs(cc.R1) ** 2
         t_sq = (stack.n3 / stack.n1) * abs(cc.T1 * cc.T2) ** 2
-        return [
-            omega * HBAR / EV,
-            numbers.n1p, numbers.n1m,
-            numbers.n2p, numbers.n2m,
-            numbers.n3p, numbers.n3m,
-            r1_sq, t_sq, r1_sq + t_sq - 1.0,
-        ]
+        return {
+            "omega_ev": omega * HBAR / EV, "n1p": pn.n1p, "n1m": pn.n1m, "n2p": pn.n2p,
+            "n2m": pn.n2m, "n3p": pn.n3p, "n3m": pn.n3m, "R1_sq": r1_sq,
+            "T1T2_sq_weighted": t_sq, "identity_residual": r1_sq + t_sq - 1.0,
+        }
 
-    table = ResultTable(
-        columns=[
-            "omega_ev", "n1p", "n1m", "n2p", "n2m", "n3p", "n3m",
-            "R1_sq", "T1T2_sq_weighted", "identity_residual",
-        ],
-        units=["eV"] + ["-"] * 9,
-        metadata={**_BASE_METADATA, "command": "cavity", "config": dict(params)},
-    )
-    for r in _map_rows(row, list(grid), jobs):
-        table.append(r)
-    return table
+    return _grid_table("cavity", params, _omega_grid(params), _omega_label, columns)
 
 
-def _run_force_ar(params, jobs):
+def _run_force_ar(params):
     n = params.get("n_index")
     if n is None:
         raise ConfigError("ar mode requires n_index")
     in1 = params.get("in1")
     if in1 is None or in1 <= 0:
         raise ConfigError("ar mode requires a positive in1 beam occupation")
-    grid = _omega_grid(params)
     S = params["area_m2"]
 
-    def row(omega):
+    def columns(omega):
         f1, f2, kappa = frc.ar_interface_forces(n, omega, in1, S)
         if n == 1.0:
             kappa = 0.5  # analytic limit; F1 = F2 = 0 leaves it 0/0
-        return [omega * HBAR / EV, f1, f2, f1 + f2, kappa]
+        return {"omega_ev": omega * HBAR / EV, "F1": f1, "F2": f2, "F1_plus_F2": f1 + f2,
+                "kappa": kappa}
 
-    table = ResultTable(
-        columns=["omega_ev", "F1", "F2", "F1_plus_F2", "kappa"],
-        units=["eV", "N/(rad/s)", "N/(rad/s)", "N/(rad/s)", "-"],
-        metadata={
-            **_BASE_METADATA,
-            "command": "force",
-            "config": dict(params),
-            "kappa_paper_value": 1.0,
-            "kappa_note": (
-                "measured kappa = 1/2 under the average photon-number and "
-                "two-direction LDOS conventions; fixed factor vs the asserted 1"
-            ),
-        },
+    return _grid_table(
+        "force", params, _omega_grid(params), _omega_label, columns,
+        kappa_paper_value=1.0,
+        kappa_note=(
+            "measured kappa = 1/2 under the average photon-number and "
+            "two-direction LDOS conventions; fixed factor vs the asserted 1"
+        ),
     )
-    for r in _map_rows(row, list(grid), jobs):
-        table.append(r)
-    return table
 
 
-def run_force(params, jobs=1):
+def run_force(params):
     mode = params["mode"]
     if mode == "ar":
-        return _run_force_ar(params, jobs)
+        return _run_force_ar(params)
     if mode not in ("beam", "thermal"):
         raise ConfigError(f"unknown force mode {mode!r}")
     stack = _stack(params)
-    grid = _omega_grid(params)
     S = params["area_m2"]
     eps_mismatch = stack.eps1 != stack.eps3
     if mode == "beam":
@@ -347,89 +335,56 @@ def run_force(params, jobs=1):
             raise ConfigError("beam mode requires eps1 == eps3")
         if params.get("in1") is None or params["in1"] <= 0:
             raise ConfigError("beam mode requires a positive in1 occupation")
-        if _occupation(params, grid[0], "right") != 0.0:
-            raise ConfigError("beam mode requires zero right-side input")
 
-    def row(omega):
-        in1 = _occupation(params, omega, "left")
-        in3 = _occupation(params, omega, "right")
-        numbers = cav.photon_numbers(stack, omega, in1, in3)
+    def columns(omega):
+        in1, in3 = _inputs(params, omega)
+        if mode == "beam" and first_row(in3 != 0.0) is not None:
+            raise ConfigError("beam mode requires zero right-side input")
+        cc = cav.composite(stack, omega)
+        numbers = cav.photon_numbers(stack, omega, in1, in3, amplitudes=cc)
         imp1, imp2 = frc.force_density_decomposition(stack, omega, numbers)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            net = frc.net_force_pressure(
-                stack, omega, numbers, -1.0, stack.d2 + 1.0, S
-            )
-        net_imp = S * (imp1.total + imp2.total)
-        out = [
-            omega * HBAR / EV,
-            S * imp1.zcf, S * imp1.tcf, S * imp1.ncf,
-            S * imp2.zcf, S * imp2.tcf, S * imp2.ncf,
-            net, net_imp,
-        ]
+            if eps_mismatch:  # recorded in the metadata as eps1_ne_eps3_warning
+                warnings.simplefilter("ignore", UserWarning)
+            net = frc.net_force_pressure(stack, omega, numbers, -1.0, stack.d2 + 1.0, S)
+        cols = {
+            "omega_ev": omega * HBAR / EV,
+            "zcf1": S * imp1.zcf, "tcf1": S * imp1.tcf, "ncf1": S * imp1.ncf,
+            "zcf2": S * imp2.zcf, "tcf2": S * imp2.tcf, "ncf2": S * imp2.ncf,
+            "net_pressure": net, "net_impulse": S * (imp1.total + imp2.total),
+        }
         if mode == "beam":
-            _, ratio = frc.total_force_beam(stack, omega, in1, S)
-            out.append(ratio)
-        return out
+            cols["F_over_F0"] = frc.beam_ratio(numbers, cc)
+        return cols
 
-    columns = [
-        "omega_ev",
-        "zcf1", "tcf1", "ncf1", "zcf2", "tcf2", "ncf2",
-        "net_pressure", "net_impulse",
-    ]
-    units = ["eV"] + ["N/(rad/s)"] * 8
-    if mode == "beam":
-        columns.append("F_over_F0")
-        units.append("-")
-    table = ResultTable(
-        columns=columns,
-        units=units,
-        metadata={
-            **_BASE_METADATA,
-            "command": "force",
-            "config": dict(params),
-            "eps1_ne_eps3_warning": eps_mismatch,
-        },
+    return _grid_table(
+        "force", params, _omega_grid(params), _omega_label, columns,
+        eps1_ne_eps3_warning=eps_mismatch,
     )
-    for r in _map_rows(row, list(grid), jobs):
-        table.append(r)
-    return table
 
 
-def run_sweep(params, jobs=1):
+def run_sweep(params):
     base = params["base"]
     key = params["parameter"]
     if params["points"] < 1:
         raise ConfigError("sweep points must be >= 1")
     values = np.linspace(params["min"], params["max"], params["points"])
     parse = _KEY_TABLES[base][key][0]
-    runner = _RUNNERS[base]
-    columns = units = None
     rows = []
     for value in values:
-        base_params = dict(params["base_params"])
-        base_params[key] = parse(value)
-        sub = runner(base_params, jobs=jobs)
-        if len(sub.rows) != 1:
+        sub = _RUNNERS[base]({**params["base_params"], key: parse(value)})
+        if len(sub.data) != 1:
             raise ConfigError(
-                f"sweep base run produced {len(sub.rows)} rows; configure the "
+                f"sweep base run produced {len(sub.data)} rows; configure the "
                 "base for a single row (e.g. omega_points = 1)"
             )
-        if columns is None:
-            columns, units = sub.columns, sub.units
-        rows.append([float(value)] + sub.rows[0])
-    table = ResultTable(
-        columns=[key] + columns,
-        units=["-"] + units,
-        metadata={
-            **_BASE_METADATA,
-            "command": "sweep",
-            "config": {k: v for k, v in params.items()},
-        },
+        rows.append(sub.data[0])
+    return ResultTable(
+        columns=[key] + sub.columns,
+        units=["-"] + sub.units,
+        data=np.column_stack([values, rows]),
+        metadata={**_BASE_METADATA, "command": "sweep", "config": dict(params)},
     )
-    for r in rows:
-        table.append(r)
-    return table
 
 
 _RUNNERS = {
@@ -440,20 +395,30 @@ _RUNNERS = {
 }
 
 
-def run_command(command, params, jobs=1):
+def run_command(command, params):
     """Run a command from resolved params (as stored in output metadata)."""
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}")
-    return _RUNNERS[command](params, jobs=jobs)
+    return _RUNNERS[command](params)
 
 
 def rerun_from_json(text, jobs=1):
-    """Re-execute the run recorded in an emitted JSON result's metadata."""
+    """Re-execute the run recorded in an emitted JSON result's metadata.
+    `jobs` is accepted for compatibility and has no effect."""
     table = ResultTable.from_json(text)
     md = table.metadata
     if "command" not in md or "config" not in md:
         raise ConfigError("JSON result carries no embedded command/config")
-    return run_command(md["command"], md["config"], jobs=jobs)
+    return run_command(md["command"], md["config"])
+
+
+def _jobs(text):
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def main(argv=None):
@@ -465,7 +430,10 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="INI config file path")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel row workers")
+    parser.add_argument(
+        "--jobs", type=_jobs, default=1,
+        help="accepted for compatibility; no effect (grids are evaluated as arrays)",
+    )
     parser.add_argument(
         "overrides", nargs="*", metavar="key=value",
         help="config overrides; section.key=value targets another section",
@@ -473,7 +441,7 @@ def main(argv=None):
     args = parser.parse_intermixed_args(argv)
     try:
         params = load_config(args.config, args.command, args.overrides)
-        table = run_command(args.command, params, jobs=args.jobs)
+        table = run_command(args.command, params)
         text = table.to_json() if args.format == "json" else table.to_csv()
         if args.out:
             with open(args.out, "w") as fh:

@@ -19,6 +19,10 @@ Conventions fixed here (they cancel from every reported ratio):
   * layer total photon number = average of the two directional values.
 Under these conventions the measured anti-reflective interface-force
 constant kappa is 1/2 rather than 1; see ar_interface_forces.
+
+Every function broadcasts: pass numpy arrays of omega or of the stack
+parameters (and the photon numbers computed over them) to evaluate a whole
+grid in one call.
 """
 
 import math
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import LayerStack, bose_einstein, composite, photon_numbers, total_photon_number
+from .cavity import composite, occupation, photon_numbers, total_photon_number
 from .constants import C, HBAR
-from .errors import NumericalGuardError
+from .errors import NumericalGuardError, at_row, first_row
 
 #: Vacuum 1D LDOS, states per unit length per unit angular frequency.
 RHO0 = 1.0 / (math.pi * C)
@@ -45,19 +49,18 @@ class LdosProfile:
     rho0: float = RHO0
 
 
+def _rho(stack, rho0):
+    return stack.n1 * rho0, stack.n2 * rho0, stack.n3 * rho0
+
+
 def ldos(stack, omega, rho0=RHO0):
     """LDOS profile of the stack: rho_i = n_i * rho0 in every layer."""
-    return LdosProfile(
-        rho1=stack.n1 * rho0,
-        rho2=stack.n2 * rho0,
-        rho3=stack.n3 * rho0,
-        rho0=rho0,
-    )
+    return LdosProfile(*_rho(stack, rho0), rho0=rho0)
 
 
 def pressure(rho, n_total, omega):
     """Spectral electromagnetic pressure hbar*omega*rho*(n_total + 1/2)."""
-    if rho < 0 or n_total < 0 or omega < 0:
+    if first_row((rho < 0) | (n_total < 0) | (omega < 0)) is not None:
         raise ValueError("pressure inputs must be nonnegative")
     return HBAR * omega * rho * (n_total + 0.5)
 
@@ -90,13 +93,10 @@ def force_density_decomposition(stack, omega, numbers, rho0=RHO0):
     arithmetic means, which makes S * sum(impulses) equal the
     pressure-difference net force identically.
     """
-    prof = ldos(stack, omega, rho0)
+    rho1, rho2, rho3 = _rho(stack, rho0)
     n1t, n2t, n3t = _layer_totals(numbers)
     out = []
-    for rho_l, rho_r, n_l, n_r in (
-        (prof.rho1, prof.rho2, n1t, n2t),
-        (prof.rho2, prof.rho3, n2t, n3t),
-    ):
+    for rho_l, rho_r, n_l, n_r in ((rho1, rho2, n1t, n2t), (rho2, rho3, n2t, n3t)):
         d_rho = rho_r - rho_l
         d_n = n_r - n_l
         rho_mean = 0.5 * (rho_l + rho_r)
@@ -117,20 +117,20 @@ def net_force_pressure(stack, omega, numbers, x1, x2, S, rho0=RHO0):
     (x > d2).  Warns when eps1 != eps3 (zero-point parts no longer cancel)."""
     if x1 >= 0.0:
         raise ValueError(f"x1 must lie in layer 1 (x < 0), got {x1}")
-    if x2 <= stack.d2:
+    if first_row(x2 <= stack.d2) is not None:
         raise ValueError(f"x2 must lie in layer 3 (x > d2), got {x2}")
     if S <= 0:
         raise ValueError(f"area must be positive, got {S}")
-    if stack.eps1 != stack.eps3:
+    if first_row(stack.eps1 != stack.eps3) is not None:
         warnings.warn(
             "eps1 != eps3: zero-point pressures do not cancel; the net force "
             "includes a static Casimir-like offset",
             stacklevel=2,
         )
-    prof = ldos(stack, omega, rho0)
+    rho1, _, rho3 = _rho(stack, rho0)
     n1t, _, n3t = _layer_totals(numbers)
-    p1 = pressure(prof.rho1, n1t, omega)
-    p3 = pressure(prof.rho3, n3t, omega)
+    p1 = pressure(rho1, n1t, omega)
+    p3 = pressure(rho3, n3t, omega)
     return S * (p1 - p3)
 
 
@@ -154,9 +154,9 @@ class SpectralForce:
 
 def spectral_force(stack, omega, in1, in3, S, rho0=RHO0):
     """Full spectral force record: impulses at both interfaces, net force by
-    the pressure route, and the ratio to the perfect-reflector force F0
-    (NaN when in1 = 0 or eps1 != eps3, where the F = |R1|^2 F0 law does
-    not apply)."""
+    the pressure route, and the ratio to the perfect-reflector force F0.
+    The ratio is finite only for a beam, where the F = |R1|^2 F0 law
+    applies: in1 > 0, in3 = 0 and eps1 = eps3; otherwise it is NaN."""
     numbers = photon_numbers(stack, omega, in1, in3)
     imp1, imp2 = force_density_decomposition(stack, omega, numbers, rho0)
     net = net_force_pressure(stack, omega, numbers, -1.0, stack.d2 + 1.0, S, rho0)
@@ -169,26 +169,36 @@ def spectral_force(stack, omega, in1, in3, S, rho0=RHO0):
 
 def total_force_beam(stack, omega, in1, S, rho0=RHO0):
     """Force of a beam (occupation in1 from the left, nothing from the right)
-    on the stack, and the dimensionless ratio to F0.
-
-    Evaluates (<n1> - <n3>)/<n1+> * F0 and checks it against |R1|^2 * F0;
-    a relative disagreement above 1e-12 trips a numerical guard.
-    """
-    if stack.eps1 != stack.eps3:
+    on the stack, and the dimensionless ratio to F0 (see beam_ratio)."""
+    if first_row(stack.eps1 != stack.eps3) is not None:
         raise ValueError("total_force_beam requires eps1 == eps3")
-    if in1 <= 0:
-        raise ValueError(f"beam occupation must be positive, got {in1}")
-    numbers = photon_numbers(stack, omega, in1, 0.0)
-    n1t, _, n3t = _layer_totals(numbers)
-    f0 = reflector_force(omega, in1, S, rho0)
-    ratio = (n1t - n3t) / in1
-    force = ratio * f0
-    r1_sq = abs(composite(stack, omega).R1) ** 2
-    if abs(ratio - r1_sq) > 1e-12 * max(1.0, r1_sq):
+    row = first_row(in1 <= 0)
+    if row is not None:
+        raise ValueError(f"beam occupation must be positive, got {at_row(in1, row)}")
+    cc = composite(stack, omega)
+    ratio = beam_ratio(photon_numbers(stack, omega, in1, 0.0, amplitudes=cc), cc)
+    return ratio * reflector_force(omega, in1, S, rho0), ratio
+
+
+def beam_ratio(numbers, amplitudes):
+    """F/F0 of a beam on a stack with eps1 == eps3, from its photon numbers
+    (no input from the right) and the stack's composite amplitudes.
+
+    Evaluates (<n1> - <n3>)/<n1+> and checks it against |R1|^2; a relative
+    disagreement above 1e-12 trips a numerical guard.
+    """
+    n1t = total_photon_number(numbers.n1p, numbers.n1m)
+    n3t = total_photon_number(numbers.n3p, numbers.n3m)
+    ratio = (n1t - n3t) / numbers.n1p
+    r1_sq = abs(amplitudes.R1) ** 2
+    row = first_row(abs(ratio - r1_sq) > 1e-12 * np.maximum(1.0, r1_sq))
+    if row is not None:
         raise NumericalGuardError(
-            f"force ratio {ratio!r} disagrees with |R1|^2 = {r1_sq!r}"
+            f"force ratio {at_row(ratio, row)!r} disagrees with "
+            f"|R1|^2 = {at_row(r1_sq, row)!r}",
+            row=row,
         )
-    return force, ratio
+    return ratio
 
 
 def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
@@ -255,13 +265,6 @@ class ThermalScenario:
                 )
         object.__setattr__(self, "omega_grid", grid)
 
-    def occupation(self, omega, side):
-        temp = self.t_left if side == "left" else self.t_right
-        occ = self.occ_left if side == "left" else self.occ_right
-        if occ is not None:
-            return occ
-        return bose_einstein(omega, temp)
-
 
 def integrate_spectrum(scenario, stack, quantity="net_force", rho0=RHO0):
     """Trapezoidal integral of a spectral quantity over the scenario grid.
@@ -272,18 +275,17 @@ def integrate_spectrum(scenario, stack, quantity="net_force", rho0=RHO0):
     """
     if quantity not in ("net_force", "interface_force"):
         raise ValueError(f"unknown spectral quantity {quantity!r}")
-    values = np.empty(scenario.omega_grid.size)
-    for i, omega in enumerate(scenario.omega_grid):
-        in1 = scenario.occupation(omega, "left")
-        in3 = scenario.occupation(omega, "right")
-        numbers = photon_numbers(stack, omega, in1, in3)
-        if quantity == "net_force":
-            values[i] = net_force_pressure(
-                stack, omega, numbers, -1.0, stack.d2 + 1.0, scenario.area, rho0
-            )
-        else:
-            imp1, imp2 = force_density_decomposition(stack, omega, numbers, rho0)
-            values[i] = scenario.area * (imp1.total + imp2.total)
+    grid = scenario.omega_grid
+    in1 = occupation(grid, scenario.occ_left, scenario.t_left)
+    in3 = occupation(grid, scenario.occ_right, scenario.t_right)
+    numbers = photon_numbers(stack, grid, in1, in3)
+    if quantity == "net_force":
+        values = net_force_pressure(
+            stack, grid, numbers, -1.0, stack.d2 + 1.0, scenario.area, rho0
+        )
+    else:
+        imp1, imp2 = force_density_decomposition(stack, grid, numbers, rho0)
+        values = scenario.area * (imp1.total + imp2.total)
     if values.size == 1:
         return float(values[0])
-    return float(np.trapezoid(values, scenario.omega_grid))
+    return float(np.trapezoid(values, grid))

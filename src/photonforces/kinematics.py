@@ -15,18 +15,31 @@ and the recoil velocity of the block
 The isolated photon+block system moves with a constant center-of-energy
 velocity (CEV) regardless of the convention chosen; `cev_check` exposes
 both the before- and after-entry expressions so callers can verify it.
+
+The block index n may be a numpy array: `solve_transmission` and
+`cev_check` then evaluate the whole index grid in one call.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import C, HBAR
-from .errors import FeasibilityError
+from .errors import FeasibilityError, at_row, first_row, nonfinite
 
 
 def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    row = first_row(nonfinite(value))
+    if row is not None:
+        raise ValueError(f"{name} must be finite, got {at_row(value, row)!r}")
+
+
+def _require_index(n):
+    _require_finite("n", n)
+    row = first_row(n < 1)
+    if row is not None:
+        raise ValueError(f"refractive index must be >= 1, got {at_row(n, row)}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,8 @@ class PhotonInput:
 
 @dataclass(frozen=True)
 class MediumBlock:
-    """Dielectric block: index n, rest mass M (kg), length L (m)."""
+    """Dielectric block: index n (scalar or array), rest mass M (kg),
+    length L (m)."""
 
     n: float
     M: float
@@ -96,10 +110,9 @@ class MediumBlock:
     density: float | None = None
 
     def __post_init__(self):
-        for name in ("n", "M", "L"):
+        _require_index(self.n)
+        for name in ("M", "L"):
             _require_finite(name, getattr(self, name))
-        if self.n < 1:
-            raise ValueError(f"refractive index must be >= 1, got {self.n}")
         if self.M <= 0:
             raise ValueError(f"block mass must be positive, got {self.M}")
         if self.L <= 0:
@@ -179,9 +192,7 @@ def photon_momentum(photon, n, conv):
 
     Abraham: hbar*k0/n; Minkowski: n*hbar*k0; general: the prescribed p.
     """
-    _require_finite("n", n)
-    if n < 1:
-        raise ValueError(f"refractive index must be >= 1, got {n}")
+    _require_index(n)
     hk0 = HBAR * photon.k0
     if conv.kind == "abraham":
         return hk0 / n
@@ -223,20 +234,26 @@ def solve_transmission(photon, block, conv):
         p_d = p - p_f
         vr_numerator = hw - C * p
     delta_m = E_d / C**2
-    if delta_m >= block.M:
+    row = first_row(delta_m >= block.M)
+    if row is not None:
         raise FeasibilityError(
-            f"dipole mass {delta_m:g} kg exceeds block mass {block.M:g} kg"
+            f"dipole mass {at_row(delta_m, row):g} kg exceeds block mass "
+            f"{block.M:g} kg",
+            row=row,
         )
-    if E <= 0:
+    row = first_row(E <= 0)
+    if row is not None:
         raise FeasibilityError(
-            f"prescribed momentum p={p:g} gives polariton energy {E:g} J <= 0"
+            f"prescribed momentum p={at_row(p, row):g} gives polariton energy "
+            f"{at_row(E, row):g} J <= 0",
+            row=row,
         )
 
     M_r = block.M - delta_m
     V_r = vr_numerator / (M_r * C)
     v = C / n
     m0_sq = (E - p * C) * (E + p * C)  # E^2 - (pc)^2 without squaring first
-    m0 = math.sqrt(max(m0_sq, 0.0)) / C**2
+    m0 = np.sqrt(m0_sq * (m0_sq > 0)) / C**2  # rounding-level negatives -> 0
     return PolaritonSolution(
         E=E,
         E_f=hw,
@@ -272,9 +289,7 @@ def bloch_momentum(photon, n):
     Computed through the in-medium wavelength lambda0/n; agrees with
     photon_momentum(..., MINKOWSKI) to floating-point rounding.
     """
-    _require_finite("n", n)
-    if n < 1:
-        raise ValueError(f"refractive index must be >= 1, got {n}")
+    _require_index(n)
     lambda0 = 2.0 * math.pi * C / photon.omega
     lam = lambda0 / n
     return 2.0 * math.pi * HBAR / lam

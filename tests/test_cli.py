@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from photonforces.cli import (
     run_polariton,
     run_sweep,
 )
+from photonforces.constants import C, EV, HBAR
 from photonforces.errors import ConfigError
 from photonforces.table import ResultTable
 
@@ -135,6 +137,15 @@ class TestPolaritonCommand:
                 load_config(config_path, "polariton", ["mass_kg=1e-40"])
             )
 
+    def test_feasibility_error_names_first_infeasible_row(self, config_path):
+        from photonforces.errors import FeasibilityError
+
+        # row 0 is vacuum (no dipole mass); row 1, n = 1.25, is the first too heavy
+        with pytest.raises(FeasibilityError, match=r"^row 1 \(n=1.25\): dipole mass"):
+            run_polariton(
+                load_config(config_path, "polariton", ["mass_kg=1e-40"])
+            )
+
 
 class TestCavityCommand:
     def test_equilibrium_columns_equal(self, config_path):
@@ -224,6 +235,36 @@ class TestForceCommand:
         with pytest.raises(ConfigError, match="eps1 == eps3"):
             run_force(load_config(config_path, "force", ["eps3=2.25"]))
 
+    def test_beam_mode_rejects_thermal_right_input(self, config_path):
+        with pytest.raises(ConfigError, match="zero right-side input"):
+            run_force(load_config(config_path, "force", ["t_right_k=300"]))
+
+    def test_eps_mismatch_warning_is_suppressed(self, config_path):
+        params = load_config(
+            config_path, "force",
+            ["mode=thermal", "eps3=2.25", "in1=", "t_left_k=300", "t_right_k=0",
+             "omega_max_ev=2.0", "omega_points=5"],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_force(params)
+
+
+class TestGridErrors:
+    @pytest.mark.parametrize("command", ["cavity", "force"])
+    def test_guard_error_names_first_row_and_omega(self, config_path, command, capsys):
+        # eps2 = 1e32 gives |r1 r2| = 1 - 4e-16; d2 puts the 1 eV row on a
+        # round-trip phase of 3 * 2 pi, where |1 + r1 r2 e| < 1e-14
+        omega = 1.0 * EV / HBAR
+        d2 = 3.0 * (2.0 * math.pi) / (2.0 * 1e16 * omega / C)
+        code = main([
+            command, "--config", config_path, "eps2=1e32", f"d2_m={d2!r}",
+            "omega_min_ev=0.5", "omega_max_ev=1.0", "omega_points=2",
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical-guard: row 1 (omega=1 eV): degenerate resonance")
+
 
 class TestSweepCommand:
     def test_d2_sweep(self, config_path):
@@ -301,6 +342,13 @@ class TestMainEntry:
         code = main(["polariton", "--config", config_path, "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("n,")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_rejects_jobs_below_one(self, config_path, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cavity", "--config", config_path, "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_parallel_is_byte_identical(self, config_path, tmp_path):
         a = tmp_path / "a.csv"
