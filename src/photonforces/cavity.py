@@ -21,8 +21,7 @@ whole grid.  The Fresnel coefficients are computed once per stack.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +34,14 @@ _TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class LayerStack:
     """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m),
-    each a scalar or an array."""
+    each a scalar or an array.  `interfaces` holds the Fresnel coefficients
+    of the interfaces n1|n2 and n2|n3, computed once per stack."""
 
     eps1: float
     eps2: float
     eps3: float
     d2: float
+    interfaces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("eps1", "eps2", "eps3", "d2"):
@@ -50,6 +51,8 @@ class LayerStack:
             if row is not None:
                 need = "positive" if name == "d2" else "real and >= 1"
                 raise ValueError(f"{name} must be {need}, got {at_row(value, row)}")
+        interfaces = fresnel(self.n1, self.n2), fresnel(self.n2, self.n3)
+        object.__setattr__(self, "interfaces", interfaces)
 
     @property
     def n1(self):
@@ -66,11 +69,6 @@ class LayerStack:
     def k2(self, omega):
         """Wavenumber inside the cavity layer, n2*omega/c (1/m)."""
         return self.n2 * omega / C
-
-    @cached_property
-    def interfaces(self):
-        """Fresnel coefficients of the interfaces n1|n2 and n2|n3."""
-        return fresnel(self.n1, self.n2), fresnel(self.n2, self.n3)
 
 
 @dataclass(frozen=True)

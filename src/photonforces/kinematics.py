@@ -23,8 +23,6 @@ The block index n may be a numpy array: `solve_transmission` and
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import C, HBAR
 from .errors import FeasibilityError, at_row, first_row, nonfinite
 
@@ -253,7 +251,7 @@ def solve_transmission(photon, block, conv):
     V_r = vr_numerator / (M_r * C)
     v = C / n
     m0_sq = (E - p * C) * (E + p * C)  # E^2 - (pc)^2 without squaring first
-    m0 = np.sqrt(m0_sq * (m0_sq > 0)) / C**2  # rounding-level negatives -> 0
+    m0 = (m0_sq * (m0_sq > 0)) ** 0.5 / C**2  # rounding-level negatives -> 0
     return PolaritonSolution(
         E=E,
         E_f=hw,

@@ -132,14 +132,6 @@ class TestPolaritonCommand:
     def test_feasibility_error_identifies_row(self, config_path):
         from photonforces.errors import FeasibilityError
 
-        with pytest.raises(FeasibilityError, match="row"):
-            run_polariton(
-                load_config(config_path, "polariton", ["mass_kg=1e-40"])
-            )
-
-    def test_feasibility_error_names_first_infeasible_row(self, config_path):
-        from photonforces.errors import FeasibilityError
-
         # row 0 is vacuum (no dipole mass); row 1, n = 1.25, is the first too heavy
         with pytest.raises(FeasibilityError, match=r"^row 1 \(n=1.25\): dipole mass"):
             run_polariton(
