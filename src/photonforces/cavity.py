@@ -170,14 +170,11 @@ def _abs_sq(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def photon_numbers(stack, omega, in1, in3, amplitudes=None):
-    """Directional photon numbers for inputs <n_1+> = in1, <n_3-> = in3.
-
-    `amplitudes` is composite(stack, omega) when the caller already has it.
-    """
+def photon_numbers(stack, omega, in1, in3):
+    """Directional photon numbers for inputs <n_1+> = in1, <n_3-> = in3."""
     if first_row((in1 < 0) | (in3 < 0)) is not None:
         raise ValueError(f"input photon numbers must be >= 0, got {in1}, {in3}")
-    cc = composite(stack, omega) if amplitudes is None else amplitudes
+    cc = composite(stack, omega)
     i1, i2 = stack.interfaces
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
     # Every amplitude but R1 and R2' is a real constant times nu2.

@@ -186,17 +186,13 @@ def _grid_table(command, params, grid, label, columns, **metadata):
         if exc.row is None:
             raise
         raise type(exc)(f"row {exc.row} ({label(grid[exc.row])}): {exc}") from exc
-    if grid.size == 1:
-        data = np.array([list(cols.values())], dtype=float)
-    else:
-        data = np.empty((len(cols), grid.size))
-        for j, values in enumerate(cols.values()):
-            data[j] = values
-        data = data.T
+    data = np.empty((len(cols), grid.size))
+    for j, values in enumerate(cols.values()):
+        data[j] = values
     return ResultTable(
         columns=list(cols),
         units=[_UNITS.get(name, "-") for name in cols],
-        data=data,
+        data=data.T,
         metadata={**_BASE_METADATA, "command": command, "config": dict(params), **metadata},
     )
 
@@ -283,7 +279,7 @@ def run_cavity(params):
     def columns(omega):
         in1, in3 = _inputs(params, omega)
         cc = cav.composite(stack, omega)
-        pn = cav.photon_numbers(stack, omega, in1, in3, amplitudes=cc)
+        pn = cav.photon_numbers(stack, omega, in1, in3)
         r1_sq = abs(cc.R1) ** 2
         t_sq = (stack.n3 / stack.n1) * abs(cc.T1 * cc.T2) ** 2
         return {
@@ -340,8 +336,7 @@ def run_force(params):
         in1, in3 = _inputs(params, omega)
         if mode == "beam" and first_row(in3 != 0.0) is not None:
             raise ConfigError("beam mode requires zero right-side input")
-        cc = cav.composite(stack, omega)
-        numbers = cav.photon_numbers(stack, omega, in1, in3, amplitudes=cc)
+        numbers = cav.photon_numbers(stack, omega, in1, in3)
         imp1, imp2 = frc.force_density_decomposition(stack, omega, numbers)
         with warnings.catch_warnings():
             if eps_mismatch:  # recorded in the metadata as eps1_ne_eps3_warning
@@ -354,7 +349,7 @@ def run_force(params):
             "net_pressure": net, "net_impulse": S * (imp1.total + imp2.total),
         }
         if mode == "beam":
-            cols["F_over_F0"] = frc.beam_ratio(numbers, cc)
+            cols["F_over_F0"] = frc.beam_ratio(numbers, cav.composite(stack, omega))
         return cols
 
     return _grid_table(

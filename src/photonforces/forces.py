@@ -175,8 +175,8 @@ def total_force_beam(stack, omega, in1, S, rho0=RHO0):
     row = first_row(in1 <= 0)
     if row is not None:
         raise ValueError(f"beam occupation must be positive, got {at_row(in1, row)}")
-    cc = composite(stack, omega)
-    ratio = beam_ratio(photon_numbers(stack, omega, in1, 0.0, amplitudes=cc), cc)
+    numbers = photon_numbers(stack, omega, in1, 0.0)
+    ratio = beam_ratio(numbers, composite(stack, omega))
     return ratio * reflector_force(omega, in1, S, rho0), ratio
 
 
