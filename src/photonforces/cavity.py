@@ -156,7 +156,8 @@ def composite(stack, omega):
 
 @dataclass(frozen=True)
 class DirectionalPhotonNumbers:
-    """The six directional photon-number expectation values over omega."""
+    """The six directional photon-number expectation values over omega, and
+    the composite amplitudes of the stack they were computed from."""
 
     n1p: float
     n1m: float
@@ -164,6 +165,7 @@ class DirectionalPhotonNumbers:
     n2m: float
     n3p: float
     n3m: float
+    amplitudes: CompositeCoefficients
 
 
 def _abs_sq(z):
@@ -189,7 +191,7 @@ def photon_numbers(stack, omega, in1, in3):
     ) * cavity
     n3p = (n3 / n1) * (i1.t * i2.t) ** 2 * in1 * nu_sq + _abs_sq(cc.R2p) * in3
     return DirectionalPhotonNumbers(
-        n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3
+        n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3, amplitudes=cc
     )
 
 

@@ -278,8 +278,8 @@ def run_cavity(params):
 
     def columns(omega):
         in1, in3 = _inputs(params, omega)
-        cc = cav.composite(stack, omega)
         pn = cav.photon_numbers(stack, omega, in1, in3)
+        cc = pn.amplitudes
         r1_sq = abs(cc.R1) ** 2
         t_sq = (stack.n3 / stack.n1) * abs(cc.T1 * cc.T2) ** 2
         return {
@@ -349,7 +349,7 @@ def run_force(params):
             "net_pressure": net, "net_impulse": S * (imp1.total + imp2.total),
         }
         if mode == "beam":
-            cols["F_over_F0"] = frc.beam_ratio(numbers, cav.composite(stack, omega))
+            cols["F_over_F0"] = frc.beam_ratio(numbers)
         return cols
 
     return _grid_table(

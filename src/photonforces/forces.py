@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import composite, occupation, photon_numbers, total_photon_number
+from .cavity import occupation, photon_numbers, total_photon_number
 from .constants import C, HBAR
 from .errors import NumericalGuardError, at_row, first_row
 
@@ -175,14 +175,13 @@ def total_force_beam(stack, omega, in1, S, rho0=RHO0):
     row = first_row(in1 <= 0)
     if row is not None:
         raise ValueError(f"beam occupation must be positive, got {at_row(in1, row)}")
-    numbers = photon_numbers(stack, omega, in1, 0.0)
-    ratio = beam_ratio(numbers, composite(stack, omega))
+    ratio = beam_ratio(photon_numbers(stack, omega, in1, 0.0))
     return ratio * reflector_force(omega, in1, S, rho0), ratio
 
 
-def beam_ratio(numbers, amplitudes):
+def beam_ratio(numbers):
     """F/F0 of a beam on a stack with eps1 == eps3, from its photon numbers
-    (no input from the right) and the stack's composite amplitudes.
+    (no input from the right).
 
     Evaluates (<n1> - <n3>)/<n1+> and checks it against |R1|^2; a relative
     disagreement above 1e-12 trips a numerical guard.
@@ -190,7 +189,7 @@ def beam_ratio(numbers, amplitudes):
     n1t = total_photon_number(numbers.n1p, numbers.n1m)
     n3t = total_photon_number(numbers.n3p, numbers.n3m)
     ratio = (n1t - n3t) / numbers.n1p
-    r1_sq = abs(amplitudes.R1) ** 2
+    r1_sq = abs(numbers.amplitudes.R1) ** 2
     row = first_row(abs(ratio - r1_sq) > 1e-12 * np.maximum(1.0, r1_sq))
     if row is not None:
         raise NumericalGuardError(
