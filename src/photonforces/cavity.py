@@ -174,8 +174,11 @@ def _abs_sq(z):
 
 def photon_numbers(stack, omega, in1, in3):
     """Directional photon numbers for inputs <n_1+> = in1, <n_3-> = in3."""
-    if first_row((in1 < 0) | (in3 < 0)) is not None:
-        raise ValueError(f"input photon numbers must be >= 0, got {in1}, {in3}")
+    row = first_row((in1 < 0) | (in3 < 0))
+    if row is not None:
+        raise ValueError(
+            f"input photon numbers must be >= 0, got {at_row(in1, row)}, {at_row(in3, row)}"
+        )
     cc = composite(stack, omega)
     i1, i2 = stack.interfaces
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
@@ -208,17 +211,17 @@ def bose_einstein(omega, T):
     row = first_row(omega <= 0)
     if row is not None:
         raise ValueError(f"omega must be positive, got {at_row(omega, row)}")
-    if T < 0:
-        raise ValueError(f"temperature must be >= 0, got {T}")
-    if T == 0:
-        return 0.0 * omega
-    x = HBAR * omega / (KB * T)
+    row = first_row(T < 0)
+    if row is not None:
+        raise ValueError(f"temperature must be >= 0, got {at_row(T, row)}")
+    # T = 0 rows divide by 1 instead, and their finite n is zeroed at the end
+    x = HBAR * omega / (KB * T + (T == 0))
     # e^-x / (1 - e^-x) cannot overflow; x > 700 is cut to 0 and x < 1e-8
     # takes the Rayleigh-Jeans form 1/x
     n = (x <= 700.0) * np.exp(-x) / -np.expm1(-x)
     if first_row(x < 1e-8) is not None:
         n = np.where(x < 1e-8, 1.0 / x, n)[()]
-    return _plain(n)
+    return _plain(n) * (T > 0)
 
 
 def occupation(omega, fixed=None, temperature=None):

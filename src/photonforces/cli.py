@@ -10,9 +10,11 @@ line win over the file, and `section.key=value` targets another section
 out-of-range values are rejected with exit code 2; physics-infeasibility
 errors exit 3; numerical-guard trips exit 4.
 
-Each grid is evaluated as whole numpy columns in one pass.  --jobs is
-accepted for compatibility and has no effect: output is byte-identical for
-every value.
+Each grid is evaluated as whole numpy columns in one pass; a sweep is one
+array call of its single-row base run, with the swept key set to all sweep
+values.  Only float keys of the base can be swept, and a sweep error names
+its point as `row i (key=value)`.  --jobs is accepted for compatibility and
+has no effect: output is byte-identical for every value.
 """
 
 import argparse
@@ -160,9 +162,11 @@ def load_config(path, command, overrides=()):
         if base not in sections:
             raise ConfigError(f"sweep base [{base}] section missing")
         params["base_params"] = _parse_section(sections[base], base)
-        if params["parameter"] not in _KEY_TABLES[base]:
+        sweepable = [key for key, (parse, _) in _KEY_TABLES[base].items() if parse is float]
+        if params["parameter"] not in sweepable:
             raise ConfigError(
-                f"sweep parameter {params['parameter']!r} unknown for {base}"
+                f"sweep parameter {params['parameter']!r} is unknown or not a float key "
+                f"of {base}; sweepable keys: {', '.join(sweepable)}"
             )
     return params
 
@@ -177,16 +181,22 @@ def _grid_table(command, params, grid, label, columns, **metadata):
     and build the table; scalar values are broadcast over the rows.
 
     A one-point grid is passed as a Python float: numpy's per-call overhead
-    on 1-element arrays would cost more than the computation.  Feasibility
-    and guard errors are re-raised naming their row and `label(grid value)`.
+    on 1-element arrays would cost more than the computation.  A parameter
+    given as an array is a sweep over a one-point grid (see run_sweep): it
+    gives a row per value.  Feasibility and guard errors are re-raised
+    naming their row and its grid (or swept) value.
     """
+    axis = grid
+    for key, value in params.items():
+        if isinstance(value, np.ndarray):
+            axis, label = value, f"{key}={{:g}}".format
     try:
-        cols = columns(grid.item() if grid.size == 1 else grid)
+        cols = columns(grid.item() if grid.size == 1 else grid.ravel())
     except (FeasibilityError, NumericalGuardError) as exc:
         if exc.row is None:
             raise
-        raise type(exc)(f"row {exc.row} ({label(grid[exc.row])}): {exc}") from exc
-    data = np.empty((len(cols), grid.size))
+        raise type(exc)(f"row {exc.row} ({label(axis[exc.row])}): {exc}") from exc
+    data = np.empty((len(cols), axis.size))
     for j, values in enumerate(cols.values()):
         data[j] = values
     return ResultTable(
@@ -240,7 +250,7 @@ def _omega_grid(params):
     if points < 1:
         raise ConfigError("omega_points must be >= 1")
     if points == 1:
-        return np.array([w_min])
+        return np.array(w_min, ndmin=1)
     if params.get("omega_max_ev") is None:
         raise ConfigError("omega_max_ev required when omega_points > 1")
     w_max = params["omega_max_ev"] * EV / HBAR
@@ -296,14 +306,14 @@ def _run_force_ar(params):
     if n is None:
         raise ConfigError("ar mode requires n_index")
     in1 = params.get("in1")
-    if in1 is None or in1 <= 0:
+    if in1 is None or first_row(in1 <= 0) is not None:
         raise ConfigError("ar mode requires a positive in1 beam occupation")
     S = params["area_m2"]
 
     def columns(omega):
         f1, f2, kappa = frc.ar_interface_forces(n, omega, in1, S)
-        if n == 1.0:
-            kappa = 0.5  # analytic limit; F1 = F2 = 0 leaves it 0/0
+        if first_row(n == 1.0) is not None:  # analytic limit; F1 = F2 = 0 leaves 0/0
+            kappa = np.where(n == 1.0, 0.5, kappa)[()]
         return {"omega_ev": omega * HBAR / EV, "F1": f1, "F2": f2, "F1_plus_F2": f1 + f2,
                 "kappa": kappa}
 
@@ -325,11 +335,12 @@ def run_force(params):
         raise ConfigError(f"unknown force mode {mode!r}")
     stack = _stack(params)
     S = params["area_m2"]
-    eps_mismatch = stack.eps1 != stack.eps3
+    eps_mismatch = first_row(stack.eps1 != stack.eps3) is not None
     if mode == "beam":
         if eps_mismatch:
             raise ConfigError("beam mode requires eps1 == eps3")
-        if params.get("in1") is None or params["in1"] <= 0:
+        in1 = params.get("in1")
+        if in1 is None or first_row(in1 <= 0) is not None:
             raise ConfigError("beam mode requires a positive in1 occupation")
 
     def columns(omega):
@@ -359,25 +370,25 @@ def run_force(params):
 
 
 def run_sweep(params):
+    """Evaluate the single-row base run once, with the swept key set to the
+    array of sweep values: every row is computed in the same array call."""
     base = params["base"]
     key = params["parameter"]
     if params["points"] < 1:
         raise ConfigError("sweep points must be >= 1")
+    base_params = params["base_params"]
+    base_rows = base_params["n_points" if base == "polariton" else "omega_points"]
+    if base_rows != 1:
+        raise ConfigError(
+            f"sweep base is configured for {base_rows} rows; configure it for a "
+            "single row (e.g. omega_points = 1)"
+        )
     values = np.linspace(params["min"], params["max"], params["points"])
-    parse = _KEY_TABLES[base][key][0]
-    rows = []
-    for value in values:
-        sub = _RUNNERS[base]({**params["base_params"], key: parse(value)})
-        if len(sub.data) != 1:
-            raise ConfigError(
-                f"sweep base run produced {len(sub.data)} rows; configure the "
-                "base for a single row (e.g. omega_points = 1)"
-            )
-        rows.append(sub.data[0])
+    sub = _RUNNERS[base]({**base_params, key: values})
     return ResultTable(
         columns=[key] + sub.columns,
         units=["-"] + sub.units,
-        data=np.column_stack([values, rows]),
+        data=np.column_stack([values, sub.data]),
         metadata={**_BASE_METADATA, "command": "sweep", "config": dict(params)},
     )
 

@@ -23,17 +23,3 @@ KB = 1.380649e-23
 
 CONSTANTS_VERSION = "CODATA-2018"
 
-
-def ev_to_joule(energy_ev):
-    """Convert an energy in electronvolts to joules."""
-    return energy_ev * EV
-
-
-def joule_to_ev(energy_j):
-    """Convert an energy in joules to electronvolts."""
-    return energy_j / EV
-
-
-def ev_to_omega(energy_ev):
-    """Convert a photon energy in eV to angular frequency (rad/s)."""
-    return energy_ev * EV / HBAR

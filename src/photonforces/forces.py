@@ -119,8 +119,9 @@ def net_force_pressure(stack, omega, numbers, x1, x2, S, rho0=RHO0):
         raise ValueError(f"x1 must lie in layer 1 (x < 0), got {x1}")
     if first_row(x2 <= stack.d2) is not None:
         raise ValueError(f"x2 must lie in layer 3 (x > d2), got {x2}")
-    if S <= 0:
-        raise ValueError(f"area must be positive, got {S}")
+    row = first_row(S <= 0)
+    if row is not None:
+        raise ValueError(f"area must be positive, got {at_row(S, row)}")
     if first_row(stack.eps1 != stack.eps3) is not None:
         warnings.warn(
             "eps1 != eps3: zero-point pressures do not cancel; the net force "
@@ -212,10 +213,12 @@ def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
     two interfaces and is excluded from the beam force.  Under this
     module's LDOS and averaging conventions kappa = 1/2.
     """
-    if n < 1:
-        raise ValueError(f"refractive index must be >= 1, got {n}")
-    if in1 < 0:
-        raise ValueError(f"beam occupation must be >= 0, got {in1}")
+    row = first_row(n < 1)
+    if row is not None:
+        raise ValueError(f"refractive index must be >= 1, got {at_row(n, row)}")
+    row = first_row(in1 < 0)
+    if row is not None:
+        raise ValueError(f"beam occupation must be >= 0, got {at_row(in1, row)}")
     n_tot = total_photon_number(in1, 0.0)  # same in all three regions
     rho_vac = rho0
     rho_slab = n * rho0
@@ -223,10 +226,10 @@ def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
     f1 = -S * HBAR * omega * (rho_slab - rho_vac) * n_tot
     f2 = -S * HBAR * omega * (rho_vac - rho_slab) * n_tot
     f0 = reflector_force(omega, in1, S, rho0)
-    if n > 1 and in1 > 0:
-        kappa = f1 / ((1.0 - n) * f0)
-    else:
-        kappa = float("nan")
+    undefined = (n == 1) | (in1 == 0)  # kappa is 0/0 there: NaN
+    kappa = f1 / ((1.0 - n) * f0 + undefined)
+    if first_row(undefined) is not None:
+        kappa = np.where(undefined, np.nan, kappa)[()]
     return f1, f2, kappa
 
 

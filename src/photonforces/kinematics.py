@@ -33,6 +33,13 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {at_row(value, row)!r}")
 
 
+def _require_positive(name, value):
+    _require_finite(name, value)
+    row = first_row(value <= 0)
+    if row is not None:
+        raise ValueError(f"{name} must be positive, got {at_row(value, row)}")
+
+
 def _require_index(n):
     _require_finite("n", n)
     row = first_row(n < 1)
@@ -77,9 +84,7 @@ class PhotonInput:
     omega: float
 
     def __post_init__(self):
-        _require_finite("omega", self.omega)
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        _require_positive("omega", self.omega)
 
     @property
     def k0(self):
@@ -109,12 +114,8 @@ class MediumBlock:
 
     def __post_init__(self):
         _require_index(self.n)
-        for name in ("M", "L"):
-            _require_finite(name, getattr(self, name))
-        if self.M <= 0:
-            raise ValueError(f"block mass must be positive, got {self.M}")
-        if self.L <= 0:
-            raise ValueError(f"block length must be positive, got {self.L}")
+        _require_positive("block mass", self.M)
+        _require_positive("block length", self.L)
         if self.density is not None and self.density <= 0:
             raise ValueError(f"density must be positive, got {self.density}")
 
@@ -141,8 +142,9 @@ class MomentumConvention:
             if self.p is None:
                 raise ValueError("general convention requires an explicit p")
             _require_finite("p", self.p)
-            if self.p < 0:
-                raise ValueError(f"prescribed momentum must be >= 0, got {self.p}")
+            row = first_row(self.p < 0)
+            if row is not None:
+                raise ValueError(f"prescribed momentum must be >= 0, got {at_row(self.p, row)}")
         elif self.p is not None:
             raise ValueError(f"{self.kind} convention takes no explicit p")
 
@@ -177,12 +179,6 @@ class PolaritonSolution:
     M_r: float
     V_r: float
     exotic: bool = False
-
-    def polariton_four_momentum(self):
-        return FourMomentum(self.E / C, self.p)
-
-    def medium_four_momentum(self):
-        return FourMomentum(self.M_r * C, self.M_r * self.V_r)
 
 
 def photon_momentum(photon, n, conv):
@@ -236,7 +232,7 @@ def solve_transmission(photon, block, conv):
     if row is not None:
         raise FeasibilityError(
             f"dipole mass {at_row(delta_m, row):g} kg exceeds block mass "
-            f"{block.M:g} kg",
+            f"{at_row(block.M, row):g} kg",
             row=row,
         )
     row = first_row(E <= 0)

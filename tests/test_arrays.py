@@ -35,6 +35,7 @@ from photonforces import (
     solve_transmission,
     total_force_beam,
 )
+from photonforces.cli import _KEY_TABLES, rerun_from_json, run_command, run_sweep
 from photonforces.constants import C, EV, HBAR
 from photonforces.table import ResultTable
 
@@ -136,6 +137,84 @@ def test_kinematics_grid_matches_scalar_calls(hw, n, m, kind, factor):
     cev = [cev_check(photon, b, s) for b, s in zip(blocks, scalar)]
     assert_elementwise(v_before, [c[0] for c in cev], np.abs(v_before))
     assert_elementwise(v_after, [c[1] for c in cev], np.abs(v_before))
+
+
+_STACK = {"eps1": 1.0, "eps2": 4.0, "eps3": 1.0, "d2_m": 1e-6, "omega_min_ev": 1.0,
+          "omega_points": 1}
+SWEEP_BASES = {
+    "polariton-minkowski": ("polariton", {
+        "energy_ev": 1.0, "n_min": 1.5, "n_max": 1.5, "n_points": 1, "mass_kg": 1.0,
+        "length_m": 1.0, "convention": "minkowski"}),
+    "polariton-general": ("polariton", {
+        "energy_ev": 1.0, "n_min": 1.5, "n_max": 1.5, "n_points": 1, "mass_kg": 1.0,
+        "length_m": 1.0, "convention": "general", "momentum_kgms": 2.0 * EV / C}),
+    "cavity": ("cavity", {**_STACK, "eps3": 1.5, "in1": 1.0, "in3": 0.3}),
+    "force-beam": ("force", {**_STACK, "mode": "beam", "in1": 1.0, "area_m2": 1.0,
+                             "n_index": 1.5}),
+    "force-thermal": ("force", {**_STACK, "mode": "thermal", "eps3": 2.0,
+                                "t_left_k": 3000.0, "t_right_k": 300.0, "area_m2": 1.0}),
+    "force-ar": ("force", {**_STACK, "mode": "ar", "n_index": 1.5, "in1": 1.0,
+                           "area_m2": 1.0}),
+}
+# every float key of the three bases; the ranges reach the special points
+# T = 0 (no thermal input) and n_index = 1 (the AR kappa limit)
+SWEEP_RANGES = {
+    "energy_ev": (0.5, 2.0), "n_min": (1.0, 3.0), "n_max": (1.0, 3.0),
+    "mass_kg": (0.5, 2.0), "length_m": (0.5, 2.0), "momentum_kgms": (0.1 * EV / C, 5 * EV / C),
+    "eps1": (1.0, 4.0), "eps2": (2.0, 12.0), "eps3": (1.0, 4.0), "d2_m": (1e-7, 2e-6),
+    "omega_min_ev": (0.5, 2.5), "omega_max_ev": (3.0, 4.0), "in1": (0.5, 2.0),
+    "in3": (0.0, 1.0), "t_left_k": (0.0, 6000.0), "t_right_k": (0.0, 600.0),
+    "n_index": (1.0, 4.0), "area_m2": (0.5, 2.0),
+}
+# a swept occupation replaces the temperature of its side, and vice versa
+# (AR mode reads in1 only)
+_PARTNER = {"in1": "t_left_k", "t_left_k": "in1", "in3": "t_right_k", "t_right_k": "in3"}
+# a beam needs eps1 == eps3, a fixed in1 and no right input
+_BEAM_FIXED = {"eps1", "eps3", "in3", "t_left_k", "t_right_k"}
+SWEEP_CASES = [
+    (name, key)
+    for name, (base, _) in SWEEP_BASES.items()
+    for key, (parse, _) in _KEY_TABLES[base].items()
+    if parse is float and not (name == "force-beam" and key in _BEAM_FIXED)
+]
+
+
+def _sweep_params(name, key, points):
+    base, params = SWEEP_BASES[name]
+    if name != "force-ar":
+        params = {k: v for k, v in params.items() if k != _PARTNER.get(key)}
+    lo, hi = SWEEP_RANGES[key]
+    return {"base": base, "parameter": key, "min": lo, "max": hi, "points": points,
+            "base_params": params}
+
+
+@pytest.mark.parametrize("name, key", SWEEP_CASES)
+def test_sweep_equals_per_point_runner_calls(name, key):
+    # Each column's scale is the largest magnitude among the columns of its
+    # unit, and at least 1 for dimensionless ones (residuals are O(1) sums).
+    for points in (1, 7):
+        params = _sweep_params(name, key, points)
+        table = run_sweep(params)
+        values = np.linspace(params["min"], params["max"], points)
+        subs = [run_command(params["base"], {**params["base_params"], key: float(v)})
+                for v in values]
+        assert table.columns == [key] + subs[0].columns
+        assert table.units == ["-"] + subs[0].units
+        assert table.column(key) == values.tolist()
+        want = np.array([sub.data[0] for sub in subs])
+        units = np.array(subs[0].units)
+        for j, unit in enumerate(units):
+            scale = max(np.abs(want[:, units == unit]).max(), 1.0 if unit == "-" else 0.0)
+            assert_elementwise(table.data[:, j + 1], want[:, j], scale)
+
+
+@pytest.mark.parametrize("name, key", [
+    ("polariton-general", "energy_ev"), ("cavity", "d2_m"), ("force-beam", "d2_m"),
+    ("force-thermal", "t_right_k"), ("force-ar", "n_index"),
+])
+def test_sweep_rerun_from_json_is_byte_identical(name, key):
+    text = run_sweep(_sweep_params(name, key, 50)).to_json()
+    assert rerun_from_json(text).to_json() == text
 
 
 def test_beam_law_fuzz_in_one_array_call():

@@ -293,6 +293,46 @@ class TestSweepCommand:
         with pytest.raises(ConfigError, match="unknown"):
             load_config(config_path, "sweep", ["parameter=bogus"])
 
+    @pytest.mark.parametrize("base, key, listed", [
+        ("force", "mode", "area_m2"), ("force", "omega_points", "omega_min_ev"),
+        ("polariton", "convention", "momentum_kgms"), ("polariton", "n_points", "n_min"),
+    ])
+    def test_rejects_non_float_parameter(self, config_path, base, key, listed):
+        with pytest.raises(ConfigError) as info:
+            load_config(config_path, "sweep", [f"base={base}", f"parameter={key}",
+                                               "min=1", "max=1.9", "points=3"])
+        head, keys = str(info.value).split("; sweepable keys: ")
+        assert head == f"sweep parameter {key!r} is unknown or not a float key of {base}"
+        assert listed in keys.split(", ")
+        assert key not in keys.split(", ")
+
+    def test_feasibility_error_names_sweep_point(self, config_path, capsys):
+        code = main([
+            "sweep", "--config", config_path, "base=polariton", "polariton.n_points=1",
+            "polariton.n_min=1.5", "parameter=mass_kg", "min=1", "max=1e-40", "points=3",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: feasibility: row 2 (mass_kg=1e-40): dipole mass 2.22833e-36 kg "
+            "exceeds block mass 1e-40 kg\n"
+        )
+
+    def test_guard_error_names_sweep_point(self, config_path, capsys):
+        # as in TestGridErrors: eps2 = 1e32 and the last d2 puts the 1 eV
+        # round-trip phase on 3 * 2 pi, where |1 + r1 r2 e| < 1e-14
+        omega = 1.0 * EV / HBAR
+        d2 = 3.0 * (2.0 * math.pi) / (2.0 * 1e16 * omega / C)
+        code = main([
+            "sweep", "--config", config_path, "base=cavity", "cavity.eps2=1e32",
+            "cavity.omega_min_ev=1.0", "cavity.omega_points=1", "parameter=d2_m",
+            f"min={d2 / 4!r}", f"max={d2!r}", "points=2",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: numerical-guard: row 1 (d2_m=1.85976e-22): degenerate resonance: "
+            "|1 + r1 r2 e^(2 i k2 d2)| = 0\n"
+        )
+
 
 class TestSerialization:
     def test_csv_round_trips_doubles(self, config_path):
