@@ -18,24 +18,19 @@ from .errors import ConfigError, FeasibilityError, NumericalGuardError, PhotonFo
 from .forces import (
     RHO0,
     InterfaceImpulses,
-    LdosProfile,
-    SpectralForce,
     ThermalScenario,
     ar_interface_forces,
     beam_ratio,
     force_density_decomposition,
     integrate_spectrum,
-    ldos,
     net_force_pressure,
     pressure,
     reflector_force,
-    spectral_force,
     total_force_beam,
 )
 from .kinematics import (
     ABRAHAM,
     MINKOWSKI,
-    FourMomentum,
     MediumBlock,
     MomentumConvention,
     PhotonInput,

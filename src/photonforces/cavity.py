@@ -5,15 +5,15 @@ Interface amplitudes follow the convention r' = -r, t*t' - r*r' = 1, under
 which the composite coefficients take the form
 
     nu2 = 1 / (1 + r1*r2*e^{2 i k2 d2}),
-    R1  = (r1 + r2*e^{2 i k2 d2}) * nu2,        R2  = r2,
-    T1  = t1*nu2,                               T2  = t2,
-    R1' = r1',  R2' = (r2' + r1'*e^{2 i k2 d2}) * nu2,
-    T1' = t1',  T2' = t2'*nu2,
+    R1  = (r1 + r2*e^{2 i k2 d2}) * nu2,
+    T1  = t1*nu2,   T2 = t2,
 
 and the directional photon numbers in each layer are linear in the two
-input occupations <n_1+> and <n_3->, with the intracavity numbers divided
-by Re[1 + 2 R1' R2 nu2 e^{2 i k2 d2}].  For a lossless stack every output
-lies between the two inputs, so equal inputs are a fixed point.
+input occupations <n_1+> and <n_3->.  The intracavity numbers carry no
+phase: for a lossless stack |nu2|^2 / Re[1 + 2 R1' R2 nu2 e^{2 i k2 d2}]
+is exactly 1 / (1 - r1^2 r2^2), a per-stack constant computed in a
+cancellation-free product form.  For a lossless stack every output lies
+between the two inputs, so equal inputs are a fixed point.
 
 Every function broadcasts over numpy arrays of omega, of the input
 occupations and of the stack parameters themselves: one call evaluates a
@@ -35,13 +35,16 @@ _TWO_PI = 2.0 * math.pi
 class LayerStack:
     """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m),
     each a scalar or an array.  `interfaces` holds the Fresnel coefficients
-    of the interfaces n1|n2 and n2|n3, computed once per stack."""
+    of the interfaces n1|n2 and n2|n3, and `intracavity` the factor
+    1 / (1 - r1^2 r2^2) of the intracavity photon numbers; both are computed
+    once per stack."""
 
     eps1: float
     eps2: float
     eps3: float
     d2: float
     interfaces: tuple = field(init=False, repr=False, compare=False)
+    intracavity: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("eps1", "eps2", "eps3", "d2"):
@@ -51,8 +54,14 @@ class LayerStack:
             if row is not None:
                 need = "positive" if name == "d2" else "real and >= 1"
                 raise ValueError(f"{name} must be {need}, got {at_row(value, row)}")
-        interfaces = fresnel(self.n1, self.n2), fresnel(self.n2, self.n3)
+        n1, n2, n3 = self.n1, self.n2, self.n3
+        interfaces = fresnel(n1, n2), fresnel(n2, n3)
         object.__setattr__(self, "interfaces", interfaces)
+        # 1 - r1^2 r2^2 = (1 - r1 r2)(1 + r1 r2), each factor expanded over
+        # the indices so that strong mirrors (r1 r2 -> -1) lose no digits
+        outer = (n1 + n2) * (n2 + n3)
+        gap = 4.0 * n2 * (n1 * n3 + n2 * n2) * (n1 + n3)
+        object.__setattr__(self, "intracavity", outer * outer / gap)
 
     @property
     def n1(self):
@@ -92,19 +101,13 @@ def fresnel(n_a, n_b):
 
 @dataclass(frozen=True)
 class CompositeCoefficients:
-    """Composite amplitudes of the three-layer stack over omega; R2, T2, R1'
-    and T1' are the real single-interface values."""
+    """Composite amplitudes of the three-layer stack over omega; T2 is the
+    real single-interface value."""
 
     nu2: complex
     R1: complex
-    R2: complex
     T1: complex
     T2: complex
-    R1p: complex
-    R2p: complex
-    T1p: complex
-    T2p: complex
-    denom: float  # Re[1 + 2 R1' R2 nu2 e^{2 i k2 d2}]
 
 
 def _phase_factor(stack, omega):
@@ -124,8 +127,8 @@ def _plain(x):
 
 
 def composite(stack, omega):
-    """Composite reflection/transmission amplitudes and the photon-number
-    denominator for the stack at angular frequency omega (rad/s)."""
+    """Composite reflection/transmission amplitudes of the stack at angular
+    frequency omega (rad/s)."""
     row = first_row(omega <= 0)
     if row is not None:
         raise ValueError(f"omega must be positive, got {at_row(omega, row)}")
@@ -140,18 +143,7 @@ def composite(stack, omega):
             row=row,
         )
     nu2 = 1.0 / base
-    return CompositeCoefficients(
-        nu2=nu2,
-        R1=(i1.r + i2.r * e) * nu2,
-        R2=i2.r,
-        T1=i1.t * nu2,
-        T2=i2.t,
-        R1p=i1.r_p,
-        R2p=(i2.r_p + i1.r_p * e) * nu2,
-        T1p=i1.t_p,
-        T2p=i2.t_p * nu2,
-        denom=(1.0 + 2.0 * i1.r_p * i2.r * nu2 * e).real,
-    )
+    return CompositeCoefficients(nu2=nu2, R1=(i1.r + i2.r * e) * nu2, T1=i1.t * nu2, T2=i2.t)
 
 
 @dataclass(frozen=True)
@@ -182,17 +174,18 @@ def photon_numbers(stack, omega, in1, in3):
     cc = composite(stack, omega)
     i1, i2 = stack.interfaces
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
-    # Every amplitude but R1 and R2' is a real constant times nu2.
+    # Every transmitted amplitude is a real constant times nu2, and a
+    # lossless stack reflects equally from both sides: |R2'|^2 = |R1|^2.
     nu_sq = _abs_sq(cc.nu2)
-    cavity = nu_sq / cc.denom
-    n1m = _abs_sq(cc.R1) * in1 + (n1 / n3) * (i1.t_p * i2.t_p) ** 2 * in3 * nu_sq
+    r1_sq = _abs_sq(cc.R1)
+    n1m = r1_sq * in1 + (n1 / n3) * (i1.t_p * i2.t_p) ** 2 * in3 * nu_sq
     n2p = (
         (n2 / n1) * i1.t**2 * in1 + (n2 / n3) * (i2.t_p * i1.r_p) ** 2 * in3
-    ) * cavity
+    ) * stack.intracavity
     n2m = (
         (n2 / n1) * (i1.t * i2.r) ** 2 * in1 + (n2 / n3) * i2.t_p**2 * in3
-    ) * cavity
-    n3p = (n3 / n1) * (i1.t * i2.t) ** 2 * in1 * nu_sq + _abs_sq(cc.R2p) * in3
+    ) * stack.intracavity
+    n3p = (n3 / n1) * (i1.t * i2.t) ** 2 * in1 * nu_sq + r1_sq * in3
     return DirectionalPhotonNumbers(
         n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3, amplitudes=cc
     )

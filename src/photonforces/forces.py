@@ -39,23 +39,8 @@ from .errors import NumericalGuardError, at_row, first_row
 RHO0 = 1.0 / (math.pi * C)
 
 
-@dataclass(frozen=True)
-class LdosProfile:
-    """Per-layer LDOS values (1/(m*rad/s)) and the vacuum reference."""
-
-    rho1: float
-    rho2: float
-    rho3: float
-    rho0: float = RHO0
-
-
 def _rho(stack, rho0):
     return stack.n1 * rho0, stack.n2 * rho0, stack.n3 * rho0
-
-
-def ldos(stack, omega, rho0=RHO0):
-    """LDOS profile of the stack: rho_i = n_i * rho0 in every layer."""
-    return LdosProfile(*_rho(stack, rho0), rho0=rho0)
 
 
 def pressure(rho, n_total, omega):
@@ -141,31 +126,6 @@ def reflector_force(omega, in1, S, rho0=RHO0):
     # Perfect reflector: n1- = n1+ = in1 in front, nothing behind; the
     # zero-point terms cancel between the two vacuum half-spaces.
     return S * HBAR * omega * rho0 * in1
-
-
-@dataclass(frozen=True)
-class SpectralForce:
-    """Per-frequency force decomposition and net force for area S."""
-
-    interface1: InterfaceImpulses
-    interface2: InterfaceImpulses
-    net: float
-    ratio_to_F0: float
-
-
-def spectral_force(stack, omega, in1, in3, S, rho0=RHO0):
-    """Full spectral force record: impulses at both interfaces, net force by
-    the pressure route, and the ratio to the perfect-reflector force F0.
-    The ratio is finite only for a beam, where the F = |R1|^2 F0 law
-    applies: in1 > 0, in3 = 0 and eps1 = eps3; otherwise it is NaN."""
-    numbers = photon_numbers(stack, omega, in1, in3)
-    imp1, imp2 = force_density_decomposition(stack, omega, numbers, rho0)
-    net = net_force_pressure(stack, omega, numbers, -1.0, stack.d2 + 1.0, S, rho0)
-    if in1 > 0 and stack.eps1 == stack.eps3 and in3 == 0:
-        ratio = net / reflector_force(omega, in1, S, rho0)
-    else:
-        ratio = float("nan")
-    return SpectralForce(interface1=imp1, interface2=imp2, net=net, ratio_to_F0=ratio)
 
 
 def total_force_beam(stack, omega, in1, S, rho0=RHO0):

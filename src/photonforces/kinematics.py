@@ -48,36 +48,6 @@ def _require_index(n):
 
 
 @dataclass(frozen=True)
-class FourMomentum:
-    """Relativistic four-momentum (E/c, px, py, pz) in kg*m/s."""
-
-    e_over_c: float
-    px: float = 0.0
-    py: float = 0.0
-    pz: float = 0.0
-
-    def __add__(self, other):
-        return FourMomentum(
-            self.e_over_c + other.e_over_c,
-            self.px + other.px,
-            self.py + other.py,
-            self.pz + other.pz,
-        )
-
-    def __sub__(self, other):
-        return FourMomentum(
-            self.e_over_c - other.e_over_c,
-            self.px - other.px,
-            self.py - other.py,
-            self.pz - other.pz,
-        )
-
-    def norm_sq(self):
-        """Minkowski norm squared (E/c)^2 - px^2 - py^2 - pz^2, as computed."""
-        return self.e_over_c**2 - self.px**2 - self.py**2 - self.pz**2
-
-
-@dataclass(frozen=True)
 class PhotonInput:
     """Free photon of angular frequency omega (rad/s)."""
 
@@ -96,11 +66,6 @@ class PhotonInput:
         """Photon energy hbar*omega (J)."""
         return HBAR * self.omega
 
-    def four_momentum(self):
-        """Free-photon four-momentum (hbar*k0, hbar*k0, 0, 0)."""
-        hk0 = HBAR * self.k0
-        return FourMomentum(hk0, hk0)
-
 
 @dataclass(frozen=True)
 class MediumBlock:
@@ -110,18 +75,11 @@ class MediumBlock:
     n: float
     M: float
     L: float = 1.0
-    density: float | None = None
 
     def __post_init__(self):
         _require_index(self.n)
         _require_positive("block mass", self.M)
         _require_positive("block length", self.L)
-        if self.density is not None and self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-
-    def four_momentum(self):
-        """Block at rest: (Mc, 0, 0, 0)."""
-        return FourMomentum(self.M * C)
 
 
 @dataclass(frozen=True)

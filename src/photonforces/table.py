@@ -18,18 +18,13 @@ import numpy as np
 class ResultTable:
     columns: list
     units: list
-    data: np.ndarray = None
+    data: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.columns) != len(self.units):
             raise ValueError("columns and units must have the same length")
-        if self.data is None:
-            self.data = np.empty((0, len(self.columns)))
-        self.data = self._checked(self.data)
-
-    def _checked(self, data):
-        data = np.asarray(data, dtype=float)
+        data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[1] != len(self.columns):
             raise ValueError(
                 f"data of shape {data.shape} does not match {len(self.columns)} columns"
@@ -41,14 +36,11 @@ class ResultTable:
                 f"non-finite value {float(data[i, j])!r} in column "
                 f"{self.columns[j]!r} (row {i})"
             )
-        return data
+        self.data = data
 
     @property
     def rows(self):
         return self.data.tolist()
-
-    def append(self, row):
-        self.data = np.concatenate([self.data, self._checked([row])])
 
     def column(self, name):
         return self.data[:, self.columns.index(name)].tolist()

@@ -21,6 +21,12 @@ from photonforces.constants import C, EV, HBAR
 from photonforces.errors import ConfigError
 from photonforces.table import ResultTable
 
+REL = 1e-12
+
+# eps2 = 1e32 makes r1 r2 = -1 to rounding; at 1 eV the first width is an
+# anti-resonance and the second lies just outside the resonance guard
+STRONG_MIRROR_WIDTHS = (9.298814882490022e-23, 1.8601140800006373e-22)
+
 CONFIG = """
 [polariton]
 energy_ev = 1.0
@@ -183,6 +189,41 @@ class TestCavityCommand:
     def test_rejects_both_occupation_and_temperature(self, config_path):
         with pytest.raises(ConfigError, match="not both"):
             run_cavity(load_config(config_path, "cavity", ["t_left_k=300"]))
+
+
+class TestStrongMirrors:
+    """The intracavity numbers of a lossless stack are phase-free: with
+    in1 = 1, in3 = 0 and vacuum outside, n2+ = n2- = (1 + n2)^2 / (2 (1 + n2^2)),
+    which is 1/2 to rounding at n2 = 1e16."""
+
+    def intracavity_columns(self, capsys, argv):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        return [(row[header.index("n2p")], row[header.index("n2m")]) for row in rows]
+
+    @pytest.mark.parametrize("d2", STRONG_MIRROR_WIDTHS)
+    def test_one_row_call(self, config_path, capsys, d2):
+        cols = self.intracavity_columns(capsys, [
+            "cavity", "--config", config_path, "eps2=1e32", f"d2_m={d2!r}",
+            "omega_min_ev=1.0", "omega_points=1",
+        ])
+        assert len(cols) == 1
+        for value in cols[0]:
+            assert value == pytest.approx(0.5, rel=REL)
+
+    def test_two_point_sweep(self, config_path, capsys):
+        lo, hi = STRONG_MIRROR_WIDTHS
+        cols = self.intracavity_columns(capsys, [
+            "sweep", "--config", config_path, "base=cavity", "cavity.eps2=1e32",
+            "cavity.omega_min_ev=1.0", "cavity.omega_points=1", "parameter=d2_m",
+            f"min={lo!r}", f"max={hi!r}", "points=2",
+        ])
+        assert len(cols) == 2
+        for row in cols:
+            for value in row:
+                assert value == pytest.approx(0.5, rel=REL)
 
 
 class TestForceCommand:
@@ -361,11 +402,6 @@ class TestSerialization:
         assert table.metadata["constants_version"] == "CODATA-2018"
         assert "rho0" in table.metadata["ldos_normalization"]
         assert "average" in table.metadata["total_photon_number"]
-
-    def test_rejects_nonfinite_row(self):
-        table = ResultTable(columns=["a"], units=["-"])
-        with pytest.raises(ValueError):
-            table.append([float("nan")])
 
 
 class TestMainEntry:

@@ -18,12 +18,10 @@ from photonforces import (
     composite,
     force_density_decomposition,
     integrate_spectrum,
-    ldos,
     net_force_pressure,
     photon_numbers,
     pressure,
     reflector_force,
-    spectral_force,
     total_force_beam,
 )
 from photonforces.constants import C, EV, HBAR
@@ -40,22 +38,6 @@ def quiet_net_force(stack, omega, numbers, S):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return net_force_pressure(stack, omega, numbers, -1.0, stack.d2 + 1.0, S)
-
-
-class TestLdos:
-    def test_vacuum_layer(self):
-        prof = ldos(LayerStack(1.0, 4.0, 1.0, 1e-6), 1.0 * EV / HBAR)
-        assert prof.rho1 == RHO0
-        assert prof.rho3 == RHO0
-
-    def test_index_scaling(self):
-        # 1D mode counting: k = n*omega/c so dk/domega = n/c
-        prof = ldos(LayerStack(1.0, 4.0, 1.0, 1e-6), 1.0 * EV / HBAR)
-        assert prof.rho2 == pytest.approx(2.0 * RHO0, rel=REL)
-
-    def test_equal_outer_layers(self):
-        prof = ldos(LayerStack(2.25, 4.0, 2.25, 1e-6), 1.0 * EV / HBAR)
-        assert prof.rho1 == prof.rho3
 
 
 class TestPressure:
@@ -112,6 +94,16 @@ class TestDecomposition:
         net = quiet_net_force(stack, omega, numbers, S)
         scale = S * HBAR * omega * RHO0 * 4.0 * (max(in1, in3) + 1.0)
         assert abs(S * (imp1.total + imp2.total) - net) < REL * scale
+
+    def test_zero_point_impulses_scale_with_index(self):
+        # 1D mode counting: k = n*omega/c so dk/domega = n/c, rho_i = n_i*rho0;
+        # the ZCF impulse is -hbar*omega*(rho_right - rho_left)/2
+        stack = LayerStack(2.25, 4.0, 1.0, 1e-6)
+        omega = 1.0 * EV / HBAR
+        numbers = photon_numbers(stack, omega, 1.0, 0.0)
+        imp1, imp2 = force_density_decomposition(stack, omega, numbers)
+        assert imp1.zcf == pytest.approx(-HBAR * omega * (2.0 - 1.5) * RHO0 / 2, rel=REL)
+        assert imp2.zcf == pytest.approx(-HBAR * omega * (1.0 - 2.0) * RHO0 / 2, rel=REL)
 
     def test_zero_point_cancellation_equal_outer_layers(self):
         stack = LayerStack(2.25, 9.0, 2.25, 1e-6)
@@ -240,23 +232,6 @@ class TestNormalizationIndependence:
         k_a = ar_interface_forces(2.0, omega, 1.0, 1.0, rho0=RHO0)[2]
         k_b = ar_interface_forces(2.0, omega, 1.0, 1.0, rho0=RHO0 * scale)[2]
         assert k_a == pytest.approx(k_b, rel=REL)
-
-
-class TestSpectralForceRecord:
-    def test_beam_record_consistency(self):
-        stack = LayerStack(1.0, 4.0, 1.0, 1e-6)
-        omega = 1.0 * EV / HBAR
-        rec = spectral_force(stack, omega, 1.0, 0.0, 1.0)
-        assert rec.net == pytest.approx(
-            rec.interface1.total + rec.interface2.total, rel=REL
-        )
-        r1_sq = abs(composite(stack, omega).R1) ** 2
-        assert rec.ratio_to_F0 == pytest.approx(r1_sq, rel=REL)
-
-    def test_ratio_nan_when_undefined(self):
-        stack = LayerStack(1.0, 4.0, 1.0, 1e-6)
-        rec = spectral_force(stack, 1.0 * EV / HBAR, 0.0, 0.5, 1.0)
-        assert math.isnan(rec.ratio_to_F0)
 
 
 class TestIntegrateSpectrum:

@@ -10,7 +10,6 @@ from photonforces import (
     ABRAHAM,
     MINKOWSKI,
     FeasibilityError,
-    FourMomentum,
     MediumBlock,
     MomentumConvention,
     PhotonInput,
@@ -46,23 +45,6 @@ def make_convention(conv, photon):
     if isinstance(conv, MomentumConvention):
         return conv
     return general(conv * HBAR * photon.k0)
-
-
-class TestFourMomentum:
-    def test_norm_of_photon_is_zero(self):
-        p = photon_ev(1.0).four_momentum()
-        assert p.norm_sq() == 0.0
-
-    def test_norm_of_massive_block(self):
-        block = MediumBlock(n=1.5, M=2.0, L=1.0)
-        assert block.four_momentum().norm_sq() == (2.0 * C) ** 2
-
-    def test_addition_commutes_and_associates(self):
-        a = FourMomentum(1.0, 2.0, 3.0, 4.0)
-        b = FourMomentum(0.5, -1.0, 0.25, 2.0)
-        c = FourMomentum(10.0, 0.0, -3.0, 1.0)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
 
 
 class TestPhotonMomentum:
