@@ -12,9 +12,9 @@ errors exit 3; numerical-guard trips exit 4.
 
 Each grid is evaluated as whole numpy columns in one pass; a sweep is one
 array call of its single-row base run, with the swept key set to all sweep
-values.  Only float keys of the base can be swept, and a sweep error names
-its point as `row i (key=value)`.  --jobs is accepted for compatibility and
-has no effect: output is byte-identical for every value.
+values.  Only float keys that the base reads can be swept, and a sweep
+error names its point as `row i (key=value)`.  --jobs is accepted for
+compatibility and has no effect: output is byte-identical for every value.
 """
 
 import argparse
@@ -168,7 +168,30 @@ def load_config(path, command, overrides=()):
                 f"sweep parameter {params['parameter']!r} is unknown or not a float key "
                 f"of {base}; sweepable keys: {', '.join(sweepable)}"
             )
+        reason = _unread_reason(params["base_params"], params["parameter"])
+        if reason:
+            raise ConfigError(
+                f"sweep parameter {params['parameter']!r} is never read by the {base} "
+                f"base: {reason}"
+            )
     return params
+
+
+_AR_UNREAD = ("eps1", "eps2", "eps3", "d2_m", "in3", "t_left_k", "t_right_k")
+
+
+def _unread_reason(base_params, key):
+    """Why the single-row base run never reads `key`, or None if it does: a
+    sweep over such a key would be a table of equal rows."""
+    if key in ("n_max", "omega_max_ev"):
+        return "a sweep base is single-row, so it reads only the grid minimum"
+    if key == "momentum_kgms" and base_params["convention"].lower() != "general":
+        return "it is read only when convention = general"
+    if key == "n_index" and base_params["mode"] != "ar":
+        return "it is read only when mode = ar"
+    if key in _AR_UNREAD and base_params.get("mode") == "ar":
+        return "mode = ar reads no stack, in3 or temperature key"
+    return None
 
 
 _FORCE_COLUMNS = ("zcf1", "tcf1", "ncf1", "zcf2", "tcf2", "ncf2", "net_pressure",

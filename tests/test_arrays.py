@@ -7,6 +7,7 @@ photon numbers, 4*S*hbar*omega*rho0*(max occupation + 1) for forces
 (acceptance criterion 8), and relative for the kinematics.
 """
 
+import json
 import math
 import warnings
 
@@ -271,3 +272,36 @@ def test_csv_bytes_match_per_value_formatting():
     table = ResultTable(columns=list("abcd"), units=list("-" * 4), data=data)
     rows = [",".join(f"{v:.16e}" for v in row) for row in data.tolist()]
     assert table.to_csv() == "\n".join(["a,b,c,d", "-,-,-,-"] + rows) + "\n"
+
+
+def test_table_rejects_duplicate_column_naming_it():
+    with pytest.raises(ValueError, match=r"^duplicate column 'a'$"):
+        ResultTable(columns=["a", "b", "a"], units=["-"] * 3, data=np.ones((2, 3)))
+
+
+# names need JSON escapes (quote, backslash, control and non-ASCII characters)
+_NAMES = st.text(alphabet='ab"\\\n\u00e9\u2192\U0001f600', max_size=5)
+_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, 1e16, 1e-5, -1e-5, 1e22, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_METADATA = st.dictionaries(_NAMES, st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=8,
+), max_size=4)
+
+
+@given(names=st.lists(_NAMES, unique=True, max_size=5), rows=st.integers(0, 20),
+       metadata=_METADATA, draw=st.data())
+@settings(max_examples=200, deadline=None)
+def test_json_bytes_match_indent_encoder(names, rows, metadata, draw):
+    width = len(names)
+    values = draw.draw(st.lists(st.lists(_VALUES, min_size=width, max_size=width),
+                                min_size=rows, max_size=rows))
+    units = [name[::-1] for name in names]
+    table = ResultTable(columns=names, units=units, metadata=metadata,
+                        data=np.array(values, dtype=float).reshape(rows, width))
+    payload = {"columns": names, "units": units, "metadata": metadata,
+               "data": {name: [row[j] for row in values] for j, name in enumerate(names)}}
+    assert table.to_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

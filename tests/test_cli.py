@@ -347,6 +347,35 @@ class TestSweepCommand:
         assert listed in keys.split(", ")
         assert key not in keys.split(", ")
 
+    @pytest.mark.parametrize("base, key, extra, reason", [
+        *[(base, key, [], "a sweep base is single-row, so it reads only the grid minimum")
+          for base, key in (("polariton", "n_max"), ("cavity", "omega_max_ev"),
+                            ("force", "omega_max_ev"))],
+        ("polariton", "momentum_kgms", [], "it is read only when convention = general"),
+        ("force", "n_index", [], "it is read only when mode = ar"),
+        ("force", "n_index", ["force.mode=thermal"], "it is read only when mode = ar"),
+        *[("force", key, ["force.mode=ar", "force.n_index=2.0"],
+           "mode = ar reads no stack, in3 or temperature key")
+          for key in ("eps1", "eps2", "eps3", "d2_m", "in3", "t_left_k", "t_right_k")],
+    ])
+    def test_rejects_parameter_the_base_never_reads(self, config_path, capsys, base, key,
+                                                    extra, reason):
+        code = main(["sweep", "--config", config_path, f"base={base}", f"parameter={key}",
+                     "min=1", "max=1.9", "points=3", *extra])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: config: sweep parameter {key!r} is never read by the {base} base: "
+            f"{reason}\n"
+        )
+
+    def test_accepts_momentum_under_general_convention(self, config_path):
+        table = run_sweep(load_config(config_path, "sweep", [
+            "base=polariton", "polariton.n_points=1", "polariton.n_min=1.5",
+            "polariton.convention=general", "polariton.momentum_kgms=5e-28",
+            "parameter=momentum_kgms", "min=4e-28", "max=6e-28", "points=3",
+        ]))
+        assert len(set(table.column("E_over_hw"))) == 3
+
     def test_feasibility_error_names_sweep_point(self, config_path, capsys):
         code = main([
             "sweep", "--config", config_path, "base=polariton", "polariton.n_points=1",
@@ -389,6 +418,12 @@ class TestSerialization:
         assert back.columns == table.columns
         assert back.rows == table.rows
         assert back.metadata == table.metadata
+
+    @pytest.mark.parametrize("command", ["polariton", "cavity", "force", "sweep"])
+    def test_json_output_is_the_indent_encoder_text(self, config_path, command, capsys):
+        assert main([command, "--config", config_path, "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_rerun_from_json_bitwise(self, config_path):
         for command in ("polariton", "cavity", "force", "sweep"):
