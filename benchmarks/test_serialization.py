@@ -1,5 +1,7 @@
 """Serialization stage: `ResultTable.to_json`, `from_json` and `to_csv` on
-beam-force tables of 500 and 5000 rows (12 columns).
+beam-force tables of 1, 500 and 5000 rows (12 columns).  The 1-row table
+lies below the CSV array encoder's crossover, so its `to_csv` shows whether
+a small table still costs what per-value `%` formatting costs.
 
     PYTHONPATH=src python -m pytest benchmarks/test_serialization.py \
         --benchmark-json=BENCH_<n>.json
@@ -20,7 +22,7 @@ BEAM = {
 }
 
 
-@pytest.fixture(scope="module", params=[500, 5000], ids=lambda rows: f"{rows}rows")
+@pytest.fixture(scope="module", params=[1, 500, 5000], ids=lambda rows: f"{rows}rows")
 def table(request):
     return run_command("force", {**BEAM, "omega_points": request.param})
 

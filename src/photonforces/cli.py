@@ -183,6 +183,8 @@ _AR_UNREAD = ("eps1", "eps2", "eps3", "d2_m", "in3", "t_left_k", "t_right_k")
 def _unread_reason(base_params, key):
     """Why the single-row base run never reads `key`, or None if it does: a
     sweep over such a key would be a table of equal rows."""
+    if key == "length_m":
+        return "no polariton column depends on the block length"
     if key in ("n_max", "omega_max_ev"):
         return "a sweep base is single-row, so it reads only the grid minimum"
     if key == "momentum_kgms" and base_params["convention"].lower() != "general":
@@ -473,8 +475,13 @@ def main(argv=None):
         table = run_command(args.command, params)
         text = table.to_json() if args.format == "json" else table.to_csv()
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write output file {args.out}: {exc.strerror}"
+                ) from exc
         else:
             sys.stdout.write(text)
         return 0

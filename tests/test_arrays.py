@@ -10,6 +10,8 @@ photon numbers, 4*S*hbar*omega*rho0*(max occupation + 1) for forces
 import json
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from photonforces import (
 )
 from photonforces.cli import _KEY_TABLES, rerun_from_json, run_command, run_sweep
 from photonforces.constants import C, EV, HBAR
+from photonforces import table as table_module
 from photonforces.table import ResultTable
 
 REL = 1e-12
@@ -272,6 +275,79 @@ def test_csv_bytes_match_per_value_formatting():
     table = ResultTable(columns=list("abcd"), units=list("-" * 4), data=data)
     rows = [",".join(f"{v:.16e}" for v in row) for row in data.tolist()]
     assert table.to_csv() == "\n".join(["a,b,c,d", "-,-,-,-"] + rows) + "\n"
+
+
+def _per_value_csv(data):
+    width = data.shape[1]
+    head = ",".join(f"c{j}" for j in range(width))
+    rows = [",".join(f"{v:.16e}" for v in row) for row in data.tolist()]
+    return "\n".join([head, ",".join("-" * width)] + rows) + "\n"
+
+
+def _csv(data):
+    width = data.shape[1]
+    return ResultTable(columns=[f"c{j}" for j in range(width)], units=["-"] * width,
+                       data=data).to_csv()
+
+
+# one row; just under and over the array encoder's crossover; and one block
+# of rows less, exactly and more
+_BLOCK = table_module._CSV_BLOCK_ROWS
+_CROSS = table_module._CSV_MIN_VALUES
+_CSV_SHAPES = [(1, 1), (1, 12), (_CROSS - 1, 1), (_CROSS + 1, 1), (_BLOCK - 1, 3),
+               (_BLOCK, 3), (_BLOCK + 1, 3)]
+
+
+@given(shape=st.sampled_from(_CSV_SHAPES), draw=st.data())
+@settings(max_examples=60, deadline=None)
+def test_csv_encoder_writes_per_value_text(shape, draw):
+    values = draw.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    data = np.array(values, dtype=float).reshape(shape)
+    assert _csv(data) == _per_value_csv(data)
+
+
+# doubles whose 17-digit scaled value lies within the long double rounding
+# error of a rounding tie, found by a search over random bit patterns
+_NEAR_TIES = [
+    6.831333660193826e-211, 6.419902486112994e-239, -3.160902468330413e+47,
+    3.287273333893786e+109, 3.4119541713983098e-308, -6.814010853017351e+255,
+    -7.038921089302648e-71, -6.486323152423617e-208, -6.851959420731789e+46,
+    5.999810389393832e+59, 3.5868167662847037e-208, -5.921620824555604e+208,
+]
+
+
+def _csv_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ints = np.array([2**k + i for k in range(53, 61) for i in (-1, 0, 1)], dtype=float)
+    # m / 2**k with exactly 18 significant digits: the 18th is a 5, a tie
+    dyadic = [m * 2.0**-k for m in range(1, 256, 2) for k in range(20, 64)]
+    ties = [v for v in dyadic if len(Decimal(v).as_tuple().digits) == 18]
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, np.finfo(float).max],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        ints, np.linspace(2.0**53, 2.0**60, 400).round(), ties, _NEAR_TIES,
+    ])
+    values = np.concatenate([values, -values])
+    return np.resize(values, (len(values) + 7) // 8 * 8).reshape(-1, 8)
+
+
+def test_csv_encoder_edge_values():
+    data = _csv_edge_values()
+    assert _csv(data) == _per_value_csv(data)
+
+
+def test_csv_exact_path_alone_writes_the_same_bytes(monkeypatch):
+    # an infinite ambiguity band sends every nonzero value to `%`
+    monkeypatch.setattr(table_module, "_BAND", np.inf)
+    data = _csv_edge_values()
+    assert _csv(data) == _per_value_csv(data)
+
+
+def test_csv_scale_powers_are_correctly_rounded():
+    for k, power in enumerate(table_module._tables()[0], start=table_module._POW_MIN):
+        error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** k)
+        assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, k
 
 
 def test_table_rejects_duplicate_column_naming_it():

@@ -357,6 +357,7 @@ class TestSweepCommand:
         *[("force", key, ["force.mode=ar", "force.n_index=2.0"],
            "mode = ar reads no stack, in3 or temperature key")
           for key in ("eps1", "eps2", "eps3", "d2_m", "in3", "t_left_k", "t_right_k")],
+        ("polariton", "length_m", [], "no polariton column depends on the block length"),
     ])
     def test_rejects_parameter_the_base_never_reads(self, config_path, capsys, base, key,
                                                     extra, reason):
@@ -445,6 +446,15 @@ class TestMainEntry:
         code = main(["polariton", "--config", config_path, "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("n,")
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_out_is_a_config_error(self, config_path, tmp_path, capsys, target):
+        out = tmp_path / target
+        code = main(["polariton", "--config", config_path, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot write output file {out}: ")
+        assert "\n" not in err.strip()
 
     @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
     def test_rejects_jobs_below_one(self, config_path, jobs, capsys):
