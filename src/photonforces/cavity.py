@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C, HBAR, KB
-from .errors import NumericalGuardError, at_row, first_row, nonfinite
+from .errors import INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require
 
 _TWO_PI = 2.0 * math.pi
 
@@ -48,12 +48,7 @@ class LayerStack:
 
     def __post_init__(self):
         for name in ("eps1", "eps2", "eps3", "d2"):
-            value = getattr(self, name)
-            low = value <= 0 if name == "d2" else value < 1
-            row = first_row(nonfinite(value) | low)
-            if row is not None:
-                need = "positive" if name == "d2" else "real and >= 1"
-                raise ValueError(f"{name} must be {need}, got {at_row(value, row)}")
+            require(name, getattr(self, name), POSITIVE if name == "d2" else INDEX)
         n1, n2, n3 = self.n1, self.n2, self.n3
         interfaces = fresnel(n1, n2), fresnel(n2, n3)
         object.__setattr__(self, "interfaces", interfaces)
@@ -92,8 +87,8 @@ class InterfaceCoefficients:
 
 def fresnel(n_a, n_b):
     """Normal-incidence Fresnel coefficients for the interface n_a | n_b."""
-    if first_row((n_a < 1) | (n_b < 1)) is not None:
-        raise ValueError(f"indices must be >= 1, got {n_a}, {n_b}")
+    require("n_a", n_a, INDEX)
+    require("n_b", n_b, INDEX)
     s = n_a + n_b
     r = (n_a - n_b) / s
     return InterfaceCoefficients(r=r, t=2.0 * n_a / s, r_p=-r, t_p=2.0 * n_b / s)
@@ -129,9 +124,7 @@ def _plain(x):
 def composite(stack, omega):
     """Composite reflection/transmission amplitudes of the stack at angular
     frequency omega (rad/s)."""
-    row = first_row(omega <= 0)
-    if row is not None:
-        raise ValueError(f"omega must be positive, got {at_row(omega, row)}")
+    require("omega", omega, POSITIVE)
     i1, i2 = stack.interfaces
     e = _phase_factor(stack, omega)
     base = 1.0 + i1.r * i2.r * e
@@ -166,11 +159,8 @@ def _abs_sq(z):
 
 def photon_numbers(stack, omega, in1, in3):
     """Directional photon numbers for inputs <n_1+> = in1, <n_3-> = in3."""
-    row = first_row((in1 < 0) | (in3 < 0))
-    if row is not None:
-        raise ValueError(
-            f"input photon numbers must be >= 0, got {at_row(in1, row)}, {at_row(in3, row)}"
-        )
+    require("in1", in1, NONNEGATIVE)
+    require("in3", in3, NONNEGATIVE)
     cc = composite(stack, omega)
     i1, i2 = stack.interfaces
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
@@ -201,20 +191,17 @@ def total_photon_number(n_plus, n_minus):
 
 def bose_einstein(omega, T):
     """Thermal occupation 1/(e^{hbar*omega/kB*T} - 1), stable at both ends."""
-    row = first_row(omega <= 0)
-    if row is not None:
-        raise ValueError(f"omega must be positive, got {at_row(omega, row)}")
-    row = first_row(T < 0)
-    if row is not None:
-        raise ValueError(f"temperature must be >= 0, got {at_row(T, row)}")
-    # T = 0 rows divide by 1 instead, and their finite n is zeroed at the end
-    x = HBAR * omega / (KB * T + (T == 0))
+    require("omega", omega, POSITIVE)
+    require("T", T, NONNEGATIVE)
+    # rows where kB*T is 0 (T = 0 or underflow) divide by 1, and are zeroed at the end
+    kt = KB * T
+    x = HBAR * omega / (kt + (kt == 0))
     # e^-x / (1 - e^-x) cannot overflow; x > 700 is cut to 0 and x < 1e-8
     # takes the Rayleigh-Jeans form 1/x
     n = (x <= 700.0) * np.exp(-x) / -np.expm1(-x)
     if first_row(x < 1e-8) is not None:
         n = np.where(x < 1e-8, 1.0 / x, n)[()]
-    return _plain(n) * (T > 0)
+    return _plain(n) * (kt > 0)
 
 
 def occupation(omega, fixed=None, temperature=None):

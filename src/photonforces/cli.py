@@ -6,9 +6,11 @@
 Commands: polariton | cavity | force | sweep.  The config file is an INI
 file with one section per command; `key=value` overrides on the command
 line win over the file, and `section.key=value` targets another section
-(used by `sweep` to override its base command).  Unknown keys and
-out-of-range values are rejected with exit code 2; physics-infeasibility
-errors exit 3; numerical-guard trips exit 4.
+(used by `sweep` to override its base command).  Each given value, each
+energy in rad/s and each sweep value is checked against its key's domain
+(`_DOMAINS`).  Exit codes: 2 config error, 3 physics infeasibility, 4
+numerical-guard trip (a non-finite output included); any other exception
+is an internal error and exits 1 with a traceback.
 
 Each grid is evaluated as whole numpy columns in one pass; a sweep is one
 array call of its single-row base run, with the swept key set to all sweep
@@ -29,7 +31,8 @@ from . import forces as frc
 from . import kinematics as kin
 from .constants import CONSTANTS_VERSION, EV, HBAR
 from .errors import (
-    ConfigError, FeasibilityError, NumericalGuardError, PhotonForcesError, first_row,
+    FINITE, INDEX, NONNEGATIVE, POSITIVE, ConfigError, FeasibilityError,
+    NumericalGuardError, first_row, require,
 )
 from .table import ResultTable
 
@@ -102,6 +105,16 @@ _KEY_TABLES = {
     "sweep": _SWEEP_KEYS,
 }
 
+# What each numeric key may take, in every section; mode rules stay in run_force
+_DOMAINS = {
+    **dict.fromkeys(["energy_ev", "mass_kg", "length_m", "d2_m", "omega_min_ev",
+                     "omega_max_ev", "area_m2"], POSITIVE),
+    **dict.fromkeys(["n_min", "n_max", "n_index", "eps1", "eps2", "eps3", "n_points",
+                     "omega_points", "points"], INDEX),
+    **dict.fromkeys(["momentum_kgms", "in1", "in3", "t_left_k", "t_right_k"], NONNEGATIVE),
+    "min": FINITE, "max": FINITE,
+}
+
 
 def _parse_section(raw, command):
     """Validate a raw {key: str-or-value} mapping against the command's key
@@ -109,9 +122,7 @@ def _parse_section(raw, command):
     table = _KEY_TABLES[command]
     unknown = set(raw) - set(table)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) for {command}: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
     params = {}
     for key, (parse, default) in table.items():
         if key in raw:
@@ -119,6 +130,8 @@ def _parse_section(raw, command):
                 params[key] = parse(raw[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
+            if key in _DOMAINS:
+                require(key, params[key], _DOMAINS[key], ConfigError)
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key for {command}: {key}")
         elif default is not None:
@@ -133,12 +146,16 @@ def load_config(path, command, overrides=()):
     command's resolved params under 'base_params'.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())  # configparser's messages span lines
+        raise ConfigError(f"cannot parse config file {path}: {message}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if not parser.has_section(command):
         raise ConfigError(f"config has no [{command}] section")
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
@@ -208,8 +225,9 @@ def _grid_table(command, params, grid, label, columns, **metadata):
     A one-point grid is passed as a Python float: numpy's per-call overhead
     on 1-element arrays would cost more than the computation.  A parameter
     given as an array is a sweep over a one-point grid (see run_sweep): it
-    gives a row per value.  Feasibility and guard errors are re-raised
-    naming their row and its grid (or swept) value.
+    gives a row per value.  A non-finite value is a guard error.  Feasibility
+    and guard errors are re-raised naming their row and its grid (or swept)
+    value.
     """
     axis = grid
     for key, value in params.items():
@@ -217,13 +235,19 @@ def _grid_table(command, params, grid, label, columns, **metadata):
             axis, label = value, f"{key}={{:g}}".format
     try:
         cols = columns(grid.item() if grid.size == 1 else grid.ravel())
+        data = np.empty((len(cols), axis.size))
+        for j, values in enumerate(cols.values()):
+            data[j] = values
+        if not np.isfinite(data).all():
+            i, j = np.argwhere(~np.isfinite(data.T))[0]
+            raise NumericalGuardError(f"non-finite value {float(data[j, i])!r} in column "
+                                      f"{list(cols)[j]!r}", row=int(i))
+    except ZeroDivisionError as exc:  # Python floats raise where numpy gives inf, in every row
+        raise NumericalGuardError(f"row 0 ({label(axis[0])}): {exc}") from exc
     except (FeasibilityError, NumericalGuardError) as exc:
         if exc.row is None:
             raise
         raise type(exc)(f"row {exc.row} ({label(axis[exc.row])}): {exc}") from exc
-    data = np.empty((len(cols), axis.size))
-    for j, values in enumerate(cols.values()):
-        data[j] = values
     return ResultTable(
         columns=list(cols),
         units=[_UNITS.get(name, "-") for name in cols],
@@ -245,13 +269,18 @@ def _convention(params):
     raise ConfigError(f"unknown convention {params['convention']!r}")
 
 
+def _omega(params, key):
+    """The energy `params[key]` (eV) in rad/s, checked for underflow and overflow."""
+    omega = params[key] * EV / HBAR
+    require(f"{key} in rad/s", omega, POSITIVE, ConfigError)
+    return omega
+
+
 def run_polariton(params):
     conv = _convention(params)
-    photon = kin.PhotonInput(omega=params["energy_ev"] * EV / HBAR)
+    photon = kin.PhotonInput(omega=_omega(params, "energy_ev"))
     hw = photon.energy
     hk0 = HBAR * photon.k0
-    if params["n_points"] < 1:
-        raise ConfigError("n_points must be >= 1")
     grid = np.linspace(params["n_min"], params["n_max"], params["n_points"])
 
     def columns(n):
@@ -270,15 +299,13 @@ def run_polariton(params):
 
 
 def _omega_grid(params):
-    w_min = params["omega_min_ev"] * EV / HBAR
+    w_min = _omega(params, "omega_min_ev")
     points = params["omega_points"]
-    if points < 1:
-        raise ConfigError("omega_points must be >= 1")
     if points == 1:
         return np.array(w_min, ndmin=1)
     if params.get("omega_max_ev") is None:
         raise ConfigError("omega_max_ev required when omega_points > 1")
-    w_max = params["omega_max_ev"] * EV / HBAR
+    w_max = _omega(params, "omega_max_ev")
     if w_max <= w_min:
         raise ConfigError("omega_max_ev must exceed omega_min_ev")
     return np.linspace(w_min, w_max, points)
@@ -330,13 +357,9 @@ def _run_force_ar(params):
     n = params.get("n_index")
     if n is None:
         raise ConfigError("ar mode requires n_index")
-    in1 = params.get("in1")
-    if in1 is None or first_row(in1 <= 0) is not None:
-        raise ConfigError("ar mode requires a positive in1 beam occupation")
-    S = params["area_m2"]
 
     def columns(omega):
-        f1, f2, kappa = frc.ar_interface_forces(n, omega, in1, S)
+        f1, f2, kappa = frc.ar_interface_forces(n, omega, params["in1"], params["area_m2"])
         if first_row(n == 1.0) is not None:  # analytic limit; F1 = F2 = 0 leaves 0/0
             kappa = np.where(n == 1.0, 0.5, kappa)[()]
         return {"omega_ev": omega * HBAR / EV, "F1": f1, "F2": f2, "F1_plus_F2": f1 + f2,
@@ -354,30 +377,29 @@ def _run_force_ar(params):
 
 def run_force(params):
     mode = params["mode"]
+    if mode not in ("beam", "thermal", "ar"):
+        raise ConfigError(f"unknown force mode {mode!r}")
+    in1 = params.get("in1")
+    if mode != "thermal" and (in1 is None or first_row(in1 <= 0) is not None):
+        raise ConfigError(f"{mode} mode requires a positive in1 beam occupation")
     if mode == "ar":
         return _run_force_ar(params)
-    if mode not in ("beam", "thermal"):
-        raise ConfigError(f"unknown force mode {mode!r}")
     stack = _stack(params)
     S = params["area_m2"]
     eps_mismatch = first_row(stack.eps1 != stack.eps3) is not None
-    if mode == "beam":
-        if eps_mismatch:
-            raise ConfigError("beam mode requires eps1 == eps3")
-        in1 = params.get("in1")
-        if in1 is None or first_row(in1 <= 0) is not None:
-            raise ConfigError("beam mode requires a positive in1 occupation")
+    if mode == "beam" and eps_mismatch:
+        raise ConfigError("beam mode requires eps1 == eps3")
 
     def columns(omega):
         in1, in3 = _inputs(params, omega)
         if mode == "beam" and first_row(in3 != 0.0) is not None:
-            raise ConfigError("beam mode requires zero right-side input")
+            raise ConfigError("beam mode requires zero right-side input (in3 or t_right_k)")
         numbers = cav.photon_numbers(stack, omega, in1, in3)
         imp1, imp2 = frc.force_density_decomposition(stack, omega, numbers)
         with warnings.catch_warnings():
             if eps_mismatch:  # recorded in the metadata as eps1_ne_eps3_warning
                 warnings.simplefilter("ignore", UserWarning)
-            net = frc.net_force_pressure(stack, omega, numbers, -1.0, stack.d2 + 1.0, S)
+            net = frc.net_force_pressure(stack, omega, numbers, -1.0, np.inf, S)
         cols = {
             "omega_ev": omega * HBAR / EV,
             "zcf1": S * imp1.zcf, "tcf1": S * imp1.tcf, "ncf1": S * imp1.ncf,
@@ -396,20 +418,23 @@ def run_force(params):
 
 def run_sweep(params):
     """Evaluate the single-row base run once, with the swept key set to the
-    array of sweep values: every row is computed in the same array call."""
+    array of sweep values: every row is computed in the same array call.
+    A config error about one value names its row."""
     base = params["base"]
     key = params["parameter"]
-    if params["points"] < 1:
-        raise ConfigError("sweep points must be >= 1")
     base_params = params["base_params"]
-    base_rows = base_params["n_points" if base == "polariton" else "omega_points"]
-    if base_rows != 1:
-        raise ConfigError(
-            f"sweep base is configured for {base_rows} rows; configure it for a "
-            "single row (e.g. omega_points = 1)"
-        )
+    rows_key = "n_points" if base == "polariton" else "omega_points"
+    if base_params[rows_key] != 1:
+        raise ConfigError(f"sweep base is configured for {base_params[rows_key]} rows; "
+                          f"configure it for a single row ({rows_key} = 1)")
     values = np.linspace(params["min"], params["max"], params["points"])
-    sub = _RUNNERS[base]({**base_params, key: values})
+    try:
+        require(key, values, _DOMAINS[key], ConfigError)
+        sub = _RUNNERS[base]({**base_params, key: values})
+    except ConfigError as exc:
+        if exc.row is None:
+            raise
+        raise ConfigError(f"row {exc.row} ({key}={values[exc.row]:g}): {exc}") from exc
     return ResultTable(
         columns=[key] + sub.columns,
         units=["-"] + sub.units,
@@ -430,7 +455,8 @@ def run_command(command, params):
     """Run a command from resolved params (as stored in output metadata)."""
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}")
-    return _RUNNERS[command](params)
+    with np.errstate(all="ignore"):  # energies, sweep values and outputs are checked
+        return _RUNNERS[command](params)
 
 
 def rerun_from_json(text, jobs=1):
@@ -494,9 +520,6 @@ def main(argv=None):
     except NumericalGuardError as exc:
         print(f"error: numerical-guard: {exc}", file=sys.stderr)
         return 4
-    except (PhotonForcesError, ValueError) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,16 +1,19 @@
-"""Exception hierarchy shared by the library and the CLI.
+"""Exception hierarchy and input domains shared by the library and the CLI.
 
 Exit-code mapping used by the CLI:
     ConfigError          -> 2
     FeasibilityError     -> 3
     NumericalGuardError  -> 4
+Any other exception is an internal error (exit 1, with a traceback).
 
-Library functions evaluate whole grids at once, so a feasibility or guard
-error carries `row`: the index of the first grid row that failed (0 for a
-scalar evaluation), which the CLI turns into the row and its grid value.
+Every range check on an input goes through `require` and one of four
+domains, none of which admits nan or inf.  Library functions evaluate whole
+grids at once, so an error carries `row`: the first grid row that failed (0
+for a scalar evaluation), which the CLI turns into the row and its value.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,34 @@ class FeasibilityError(PhotonForcesError):
 
 
 class NumericalGuardError(PhotonForcesError):
-    """A numerical guard tripped (degenerate resonance, identity violation)."""
+    """A numerical guard tripped (degenerate resonance, identity violation,
+    non-finite result)."""
+
+
+class Domain(NamedTuple):
+    """The finite values from `low` up; `text` completes "<name> must be ..."."""
+
+    text: str
+    low: float
+
+
+# bounds next to -inf and 0, so that `low <= x < inf` alone rejects nan, +-inf and 0
+FINITE = Domain("finite", math.nextafter(-math.inf, 0.0))
+POSITIVE = Domain("positive and finite", math.nextafter(0.0, 1.0))
+NONNEGATIVE = Domain("finite and >= 0", 0.0)
+INDEX = Domain("real and >= 1", 1.0)
+
+
+def require(name, value, domain, error=ValueError):
+    """Raise `error` naming `name` and the first value of `value` (scalar or
+    array) outside `domain`; a PhotonForcesError carries its row."""
+    if isinstance(value, np.ndarray):
+        row = first_row(~((value >= domain.low) & (value < math.inf)))
+    else:
+        row = None if domain.low <= value < math.inf else 0
+    if row is not None:
+        message = f"{name} must be {domain.text}, got {at_row(value, row)}"
+        raise error(message, row=row) if issubclass(error, PhotonForcesError) else error(message)
 
 
 def first_row(failed):
@@ -45,13 +75,6 @@ def first_row(failed):
         i = int(failed.argmax())
         return i if failed.flat[i] else None
     return 0 if failed else None
-
-
-def nonfinite(value):
-    """Vectorized `not math.isfinite(value)`, as cheap as that for scalars."""
-    if isinstance(value, np.ndarray):
-        return ~np.isfinite(value)
-    return not math.isfinite(value)
 
 
 def at_row(values, row):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cavity import occupation, photon_numbers, total_photon_number
 from .constants import C, HBAR
-from .errors import NumericalGuardError, at_row, first_row
+from .errors import INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require
 
 #: Vacuum 1D LDOS, states per unit length per unit angular frequency.
 RHO0 = 1.0 / (math.pi * C)
@@ -104,9 +104,7 @@ def net_force_pressure(stack, omega, numbers, x1, x2, S, rho0=RHO0):
         raise ValueError(f"x1 must lie in layer 1 (x < 0), got {x1}")
     if first_row(x2 <= stack.d2) is not None:
         raise ValueError(f"x2 must lie in layer 3 (x > d2), got {x2}")
-    row = first_row(S <= 0)
-    if row is not None:
-        raise ValueError(f"area must be positive, got {at_row(S, row)}")
+    require("S", S, POSITIVE)
     if first_row(stack.eps1 != stack.eps3) is not None:
         warnings.warn(
             "eps1 != eps3: zero-point pressures do not cancel; the net force "
@@ -133,9 +131,7 @@ def total_force_beam(stack, omega, in1, S, rho0=RHO0):
     on the stack, and the dimensionless ratio to F0 (see beam_ratio)."""
     if first_row(stack.eps1 != stack.eps3) is not None:
         raise ValueError("total_force_beam requires eps1 == eps3")
-    row = first_row(in1 <= 0)
-    if row is not None:
-        raise ValueError(f"beam occupation must be positive, got {at_row(in1, row)}")
+    require("in1", in1, POSITIVE)
     ratio = beam_ratio(photon_numbers(stack, omega, in1, 0.0))
     return ratio * reflector_force(omega, in1, S, rho0), ratio
 
@@ -173,12 +169,10 @@ def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
     two interfaces and is excluded from the beam force.  Under this
     module's LDOS and averaging conventions kappa = 1/2.
     """
-    row = first_row(n < 1)
-    if row is not None:
-        raise ValueError(f"refractive index must be >= 1, got {at_row(n, row)}")
-    row = first_row(in1 < 0)
-    if row is not None:
-        raise ValueError(f"beam occupation must be >= 0, got {at_row(in1, row)}")
+    require("n", n, INDEX)
+    require("omega", omega, POSITIVE)
+    require("in1", in1, NONNEGATIVE)
+    require("S", S, POSITIVE)
     n_tot = total_photon_number(in1, 0.0)  # same in all three regions
     rho_vac = rho0
     rho_slab = n * rho0
@@ -215,16 +209,13 @@ class ThermalScenario:
             raise ValueError("omega grid must not be empty")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValueError("omega grid must be strictly increasing")
-        if self.area <= 0:
-            raise ValueError(f"area must be positive, got {self.area}")
+        require("area", self.area, POSITIVE)
         for side, temp, occ in (
             ("left", self.t_left, self.occ_left),
             ("right", self.t_right, self.occ_right),
         ):
             if (temp is None) == (occ is None):
-                raise ValueError(
-                    f"{side} side needs exactly one of temperature or occupation"
-                )
+                raise ValueError(f"{side} side needs exactly one of temperature or occupation")
         object.__setattr__(self, "omega_grid", grid)
 
 
@@ -243,7 +234,7 @@ def integrate_spectrum(scenario, stack, quantity="net_force", rho0=RHO0):
     numbers = photon_numbers(stack, grid, in1, in3)
     if quantity == "net_force":
         values = net_force_pressure(
-            stack, grid, numbers, -1.0, stack.d2 + 1.0, scenario.area, rho0
+            stack, grid, numbers, -1.0, math.inf, scenario.area, rho0
         )
     else:
         imp1, imp2 = force_density_decomposition(stack, grid, numbers, rho0)

@@ -24,27 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import C, HBAR
-from .errors import FeasibilityError, at_row, first_row, nonfinite
-
-
-def _require_finite(name, value):
-    row = first_row(nonfinite(value))
-    if row is not None:
-        raise ValueError(f"{name} must be finite, got {at_row(value, row)!r}")
-
-
-def _require_positive(name, value):
-    _require_finite(name, value)
-    row = first_row(value <= 0)
-    if row is not None:
-        raise ValueError(f"{name} must be positive, got {at_row(value, row)}")
-
-
-def _require_index(n):
-    _require_finite("n", n)
-    row = first_row(n < 1)
-    if row is not None:
-        raise ValueError(f"refractive index must be >= 1, got {at_row(n, row)}")
+from .errors import INDEX, NONNEGATIVE, POSITIVE, FeasibilityError, at_row, first_row, require
 
 
 @dataclass(frozen=True)
@@ -54,7 +34,7 @@ class PhotonInput:
     omega: float
 
     def __post_init__(self):
-        _require_positive("omega", self.omega)
+        require("omega", self.omega, POSITIVE)
 
     @property
     def k0(self):
@@ -77,9 +57,9 @@ class MediumBlock:
     L: float = 1.0
 
     def __post_init__(self):
-        _require_index(self.n)
-        _require_positive("block mass", self.M)
-        _require_positive("block length", self.L)
+        require("n", self.n, INDEX)
+        require("M", self.M, POSITIVE)
+        require("L", self.L, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -99,10 +79,7 @@ class MomentumConvention:
         if self.kind == "general":
             if self.p is None:
                 raise ValueError("general convention requires an explicit p")
-            _require_finite("p", self.p)
-            row = first_row(self.p < 0)
-            if row is not None:
-                raise ValueError(f"prescribed momentum must be >= 0, got {at_row(self.p, row)}")
+            require("p", self.p, NONNEGATIVE)
         elif self.p is not None:
             raise ValueError(f"{self.kind} convention takes no explicit p")
 
@@ -144,7 +121,7 @@ def photon_momentum(photon, n, conv):
 
     Abraham: hbar*k0/n; Minkowski: n*hbar*k0; general: the prescribed p.
     """
-    _require_index(n)
+    require("n", n, INDEX)
     hk0 = HBAR * photon.k0
     if conv.kind == "abraham":
         return hk0 / n
@@ -241,7 +218,7 @@ def bloch_momentum(photon, n):
     Computed through the in-medium wavelength lambda0/n; agrees with
     photon_momentum(..., MINKOWSKI) to floating-point rounding.
     """
-    _require_index(n)
+    require("n", n, INDEX)
     lambda0 = 2.0 * math.pi * C / photon.omega
     lam = lambda0 / n
     return 2.0 * math.pi * HBAR / lam
@@ -249,10 +226,8 @@ def bloch_momentum(photon, n):
 
 def mass_transfer_cube(delta_m, density):
     """Side length (m) of the medium cube whose mass equals delta_m."""
-    if delta_m <= 0:
-        raise ValueError(f"delta_m must be positive, got {delta_m}")
-    if density <= 0:
-        raise ValueError(f"density must be positive, got {density}")
+    require("delta_m", delta_m, POSITIVE)
+    require("density", density, POSITIVE)
     return (delta_m / density) ** (1.0 / 3.0)
 
 

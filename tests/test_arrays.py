@@ -40,6 +40,7 @@ from photonforces import (
 )
 from photonforces.cli import _KEY_TABLES, rerun_from_json, run_command, run_sweep
 from photonforces.constants import C, EV, HBAR
+from photonforces.errors import INDEX, NONNEGATIVE, POSITIVE, ConfigError, require
 from photonforces import table as table_module
 from photonforces.table import ResultTable
 
@@ -259,6 +260,16 @@ def test_stack_rejects_array_entry_naming_it():
         LayerStack(1.0, np.array([4.0, 0.5]), 1.0, 1e-6)
     with pytest.raises(ValueError, match="d2 must be positive"):
         LayerStack(1.0, 4.0, 1.0, np.array([1e-6, np.inf]))
+
+
+def test_require_names_first_failing_row():
+    values = np.array([1.0, np.nan, -1.0])
+    with pytest.raises(ConfigError, match=r"^x must be positive and finite, got nan$") as info:
+        require("x", values, POSITIVE, ConfigError)
+    assert info.value.row == 1
+    with pytest.raises(ValueError, match=r"^x must be finite and >= 0, got -1.0$"):
+        require("x", values[[0, 2]], NONNEGATIVE)
+    require("x", values[:1], INDEX)
 
 
 def test_table_finiteness_check_names_column_and_row():

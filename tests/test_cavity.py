@@ -242,6 +242,12 @@ class TestBoseEinstein:
     def test_deep_wien_tail_underflows_to_zero(self):
         assert bose_einstein(10.0 * EV / HBAR, 1.0) == 0.0
 
+    def test_underflowing_temperature_gives_zero(self):
+        # kB*T is 0 in floating point, as at T = 0
+        omega = 1.0 * EV / HBAR
+        assert bose_einstein(omega, 5e-324) == 0.0
+        assert bose_einstein(np.array([omega, omega]), 5e-324).tolist() == [0.0, 0.0]
+
     def test_rayleigh_jeans_limit(self):
         T = 300.0
         omega = 1e-9 * KB * T / HBAR

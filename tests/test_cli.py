@@ -1,13 +1,19 @@
 """Tests for config parsing, the four CLI commands, and serialization."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from photonforces.cli import (
+    _KEY_TABLES,
     load_config,
     main,
     rerun_from_json,
@@ -255,6 +261,13 @@ class TestForceCommand:
         assert row[table.columns.index("kappa")] == pytest.approx(0.5, rel=1e-12)
         assert table.metadata["kappa_paper_value"] == 1.0
 
+    def test_routes_agree_for_a_cavity_wider_than_2_53_m(self, config_path, capsys):
+        # from d2 of about 9e15 m, d2 + 1 rounds to d2: the layer-3 reference
+        # point must lie beyond d2 whatever its value
+        assert main(["force", "--config", config_path, "--format", "json", "d2_m=1e17"]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["net_pressure"][0] == pytest.approx(data["net_impulse"][0], rel=1e-12)
+
     def test_eps_mismatch_flagged_in_metadata(self, config_path):
         table = run_force(
             load_config(
@@ -479,6 +492,64 @@ class TestMainEntry:
         assert err.startswith("error: config:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["force", "mode=ar", "n_index=2.0", "omega_min_ev=-1"],
+         "omega_min_ev must be positive and finite, got -1.0"),
+        (["force", "mode=ar", "n_index=2.0", "area_m2=-1"],
+         "area_m2 must be positive and finite, got -1.0"),
+        (["force", "in1=nan"], "in1 must be finite and >= 0, got nan"),
+        (["force", "mode=ar", "n_index=nan"], "n_index must be real and >= 1, got nan"),
+        (["polariton", "n_max=inf"], "n_max must be real and >= 1, got inf"),
+        (["cavity", "in1=", "t_left_k=inf"], "t_left_k must be finite and >= 0, got inf"),
+        (["polariton", "n_points=0"], "n_points must be real and >= 1, got 0"),
+        (["sweep", "min=nan"], "min must be finite, got nan"),
+        # energies whose conversion to rad/s underflows or overflows
+        (["cavity", "omega_min_ev=1e-320"],
+         "omega_min_ev in rad/s must be positive and finite, got 0.0"),
+        (["polariton", "energy_ev=1e300"],
+         "energy_ev in rad/s must be positive and finite, got inf"),
+        # sweep values name their row
+        (["sweep", "min=-1e308", "max=1e308"],
+         "row 0 (d2_m=nan): d2_m must be positive and finite, got nan"),
+        (["sweep", "base=cavity", "cavity.omega_points=1", "cavity.in1=",
+          "parameter=t_left_k", "min=-1", "max=1", "points=3"],
+         "row 0 (t_left_k=-1): t_left_k must be finite and >= 0, got -1.0"),
+        (["sweep", "base=cavity", "cavity.omega_points=1", "parameter=omega_min_ev",
+          "min=5e-324", "max=1", "points=2"],
+         "row 0 (omega_min_ev=4.94066e-324): omega_min_ev in rad/s must be positive and "
+         "finite, got 0.0"),
+    ])
+    def test_value_outside_its_domain_names_the_key(self, config_path, capsys, argv,
+                                                    message):
+        assert main([argv[0], "--config", config_path, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+
+    @pytest.mark.parametrize("text, where", [
+        ("energy_ev = 1.0\n[polariton]\n", "line: 1"),
+        ("[polariton]\nmass_kg = 1.0\nmass_kg = 2.0\n", "[line 3]"),
+    ])
+    def test_unparsable_config_is_a_config_error(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["polariton", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot parse config file {path}: ")
+        assert where in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["force", "in1=1e300", "area_m2=1e300"],
+         "row 0 (omega=1 eV): non-finite value -inf in column 'tcf1'"),
+        (["polariton", "energy_ev=1e-300"],
+         "row 0 (n=1): non-finite value nan in column 'p_over_hk0'"),
+        # a one-point grid runs on Python floats, where the same hbar*k0 = 0
+        # raises instead of giving nan
+        (["polariton", "energy_ev=1e-300", "n_points=1"], "row 0 (n=1): float division by zero"),
+    ])
+    def test_nonfinite_output_is_a_guard_error(self, config_path, capsys, argv, message):
+        assert main([argv[0], "--config", config_path, *argv[1:]]) == 4
+        assert capsys.readouterr().err == f"error: numerical-guard: {message}\n"
+
     def test_feasibility_exit_code(self, config_path, capsys):
         code = main(["polariton", "--config", config_path, "mass_kg=1e-40"])
         assert code == 3
@@ -490,3 +561,83 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["command"] == "force"
         assert payload["metadata"]["config"]["mode"] == "beam"
+
+
+# nan and +-inf lie outside every key's domain, and -1.0 outside all but
+# those of sweep min and max; the other values lie inside some domains, or at
+# the ends of the float range
+_NEVER_VALID = ("nan", "inf", "-inf")
+_EDGES = (*_NEVER_VALID, "-1.0", "0.0", "5e-324", "1e-300", "1e300", "1.7976931348623157e308")
+_PLAIN = ("0.5", "1.0", "2.0", "3.0", "1e-6", "")  # "" unsets the file's entry
+_ROWS = ("-1", "0", "1", "2", "3", "1.5", "nan")
+_ROW_KEYS = ("n_points", "omega_points", "points")
+
+
+def _numeric_keys(section):
+    return [key for key, (parse, _) in _KEY_TABLES[section].items() if parse in (int, float)]
+
+
+def _names_a_key(message, keys):
+    return any(re.search(rf"\b{key}\b", message) for key in keys)
+
+
+@st.composite
+def _runs(draw):
+    """A command and key=value overrides on the test CONFIG: 1-5 numeric
+    keys of the command's section (and of a sweep's base), each set to an
+    edge value, a plain one or nothing, with at most 3 rows per axis."""
+    command = draw(st.sampled_from(["polariton", "cavity", "force", "sweep"]))
+    sections = [command]
+    over = {}
+    if command == "force":
+        over["mode"] = draw(st.sampled_from(["beam", "thermal", "ar"]))
+    if command == "sweep":
+        base = draw(st.sampled_from(["polariton", "cavity", "force"]))
+        sections.append(base)
+        rows_key = "n_points" if base == "polariton" else "omega_points"
+        over.update({"base": base, f"{base}.{rows_key}": "1"})
+        over["parameter"] = draw(st.sampled_from(
+            [k for k, (parse, _) in _KEY_TABLES[base].items() if parse is float]))
+        if base == "force":
+            over["force.mode"] = draw(st.sampled_from(["beam", "thermal", "ar"]))
+    for section in sections:
+        prefix = "" if section == command else f"{section}."
+        for key in draw(st.lists(st.sampled_from(_numeric_keys(section)), min_size=1,
+                                 max_size=5, unique=True)):
+            pool = _ROWS if key in _ROW_KEYS else _EDGES + _PLAIN
+            over[prefix + key] = draw(st.sampled_from(pool))
+    return command, sections, over
+
+
+class TestContract:
+    """Every run exits 0, 2, 3 or 4 with no numpy warning; an exit-2 message
+    names a config key, the bad one where a value lies outside every domain;
+    an exit-0 output is finite and reruns from its JSON to the same bytes."""
+
+    @given(run=_runs())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes_messages_and_outputs(self, config_path, run):
+        command, sections, over = run
+        argv = [command, "--config", config_path, "--format", "json",
+                *[f"{key}={value}" for key, value in over.items()]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            text = out.getvalue()
+            data = json.loads(text)["data"]
+            assert all(math.isfinite(v) for column in data.values() for v in column)
+            assert rerun_from_json(text).to_json() == text
+            return
+        message = err.getvalue()
+        assert message.count("\n") == 1
+        # every value is checked as the config is read, before any other
+        # check, and only the overrides can be out of their domains
+        if any(value in _NEVER_VALID or (value == "-1.0" and key not in ("min", "max"))
+               for key, value in over.items()):
+            assert code == 2 and _names_a_key(message, [k.split(".")[-1] for k in over]), message
+        elif code == 2:
+            keys = {key for section in sections for key in _KEY_TABLES[section]}
+            assert _names_a_key(message, keys), message

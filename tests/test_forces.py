@@ -219,6 +219,16 @@ class TestArInterfaceForces:
         assert f1 < 0
 
 
+    @pytest.mark.parametrize("n, omega, in1, S, name", [
+        (0.5, 1.0, 1.0, 1.0, "n"), (np.nan, 1.0, 1.0, 1.0, "n"),
+        (2.0, 0.0, 1.0, 1.0, "omega"), (2.0, np.array([1.0, -1.0]), 1.0, 1.0, "omega"),
+        (2.0, 1.0, np.inf, 1.0, "in1"), (2.0, 1.0, 1.0, 0.0, "S"),
+    ])
+    def test_rejects_inputs_outside_their_domains(self, n, omega, in1, S, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            ar_interface_forces(n, omega, in1, S)
+
+
 class TestNormalizationIndependence:
     @given(e1=eps_values, e2=eps_values, d2=widths, hw=energies_ev,
            scale=st.floats(min_value=1e-3, max_value=1e3))
@@ -289,6 +299,15 @@ class TestIntegrateSpectrum:
         scenario = ThermalScenario(
             omega_grid=self.grid(51), area=2.0, occ_left=1.0, occ_right=0.2
         )
+        a = integrate_spectrum(scenario, stack, "net_force")
+        b = integrate_spectrum(scenario, stack, "interface_force")
+        assert a == pytest.approx(b, rel=1e-12)
+
+    def test_routes_agree_for_a_cavity_wider_than_2_53_m(self):
+        # d2 + 1 == d2 here, so the layer-3 point must not be built from d2
+        stack = LayerStack(1.0, 4.0, 1.0, 1e17)
+        scenario = ThermalScenario(omega_grid=self.grid(5), area=1.0, t_left=3000.0,
+                                   t_right=300.0)
         a = integrate_spectrum(scenario, stack, "net_force")
         b = integrate_spectrum(scenario, stack, "interface_force")
         assert a == pytest.approx(b, rel=1e-12)
