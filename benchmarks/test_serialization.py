@@ -1,5 +1,5 @@
 """Serialization stage: `ResultTable.to_json`, `from_json` and `to_csv` on
-beam-force tables of 1, 500 and 5000 rows (12 columns).  The 1-row table
+beam-force tables of 1, 500 and 5000 rows (10 columns).  The 1-row table
 lies below the CSV array encoder's crossover, so its `to_csv` shows whether
 a small table still costs what per-value `%` formatting costs.
 

@@ -8,9 +8,11 @@ file with one section per command; `key=value` overrides on the command
 line win over the file, and `section.key=value` targets another section
 (used by `sweep` to override its base command).  Each given value, each
 energy in rad/s and each sweep value is checked against its key's domain
-(`_DOMAINS`).  Exit codes: 2 config error, 3 physics infeasibility, 4
-numerical-guard trip (a non-finite output included); any other exception
-is an internal error and exits 1 with a traceback.
+(`_DOMAINS`), and so is the config embedded in a JSON result that is rerun;
+a row count that cannot be allocated and a sweep range whose max - min
+overflows are config errors too.  Exit codes: 2 config error, 3 physics
+infeasibility, 4 numerical-guard trip (a non-finite output included); any
+other exception is an internal error and exits 1 with a traceback.
 
 Each grid is evaluated as whole numpy columns in one pass; a sweep is one
 array call of its single-row base run, with the swept key set to all sweep
@@ -21,6 +23,7 @@ compatibility and has no effect: output is byte-identical for every value.
 
 import argparse
 import configparser
+import math
 import sys
 import warnings
 
@@ -126,8 +129,8 @@ def _parse_section(raw, command):
     params = {}
     for key, (parse, default) in table.items():
         if key in raw:
-            try:
-                params[key] = parse(raw[key])
+            try:  # from text, so that a JSON bool or a fractional count fails
+                params[key] = parse(str(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
             if key in _DOMAINS:
@@ -171,12 +174,18 @@ def load_config(path, command, overrides=()):
         else:
             # `key=` with no value unsets the file's entry
             sections.setdefault(section, {}).pop(key, None)
+    return _resolve(command, sections)
+
+
+def _resolve(command, sections):
+    """Parse the command's section of `sections` ({name: {key: value}});
+    a sweep carries its base's parsed section under 'base_params'."""
     params = _parse_section(sections[command], command)
     if command == "sweep":
         base = params["base"]
         if base not in ("polariton", "cavity", "force"):
             raise ConfigError(f"sweep base must be a non-sweep command, got {base!r}")
-        if base not in sections:
+        if not isinstance(sections.get(base), dict):
             raise ConfigError(f"sweep base [{base}] section missing")
         params["base_params"] = _parse_section(sections[base], base)
         sweepable = [key for key, (parse, _) in _KEY_TABLES[base].items() if parse is float]
@@ -281,7 +290,7 @@ def run_polariton(params):
     photon = kin.PhotonInput(omega=_omega(params, "energy_ev"))
     hw = photon.energy
     hk0 = HBAR * photon.k0
-    grid = np.linspace(params["n_min"], params["n_max"], params["n_points"])
+    grid = _linspace(params["n_min"], params["n_max"], params, "n_points")
 
     def columns(n):
         block = kin.MediumBlock(n=n, M=params["mass_kg"], L=params["length_m"])
@@ -298,6 +307,18 @@ def run_polariton(params):
     return _grid_table("polariton", params, grid, "n={:g}".format, columns)
 
 
+def _linspace(lo, hi, params, key):
+    """np.linspace from `lo` to `hi` over `params[key]` points; a count that
+    cannot be allocated is a config error."""
+    try:
+        return np.linspace(lo, hi, params[key])
+    # numpy's error for a count it cannot allocate depends on the count; the
+    # bounds are finite, and the count an integer >= 1
+    except (ValueError, IndexError, MemoryError) as exc:
+        raise ConfigError(f"{key} = {params[key]} is more points than can be "
+                          f"allocated") from exc
+
+
 def _omega_grid(params):
     w_min = _omega(params, "omega_min_ev")
     points = params["omega_points"]
@@ -308,7 +329,7 @@ def _omega_grid(params):
     w_max = _omega(params, "omega_max_ev")
     if w_max <= w_min:
         raise ConfigError("omega_max_ev must exceed omega_min_ev")
-    return np.linspace(w_min, w_max, points)
+    return _linspace(w_min, w_max, params, "omega_points")
 
 
 def _omega_label(omega):
@@ -427,7 +448,10 @@ def run_sweep(params):
     if base_params[rows_key] != 1:
         raise ConfigError(f"sweep base is configured for {base_params[rows_key]} rows; "
                           f"configure it for a single row ({rows_key} = 1)")
-    values = np.linspace(params["min"], params["max"], params["points"])
+    lo, hi = params["min"], params["max"]
+    if not math.isfinite(hi - lo):  # np.linspace would give nan and inf
+        raise ConfigError(f"max - min overflows: min = {lo!r}, max = {hi!r}")
+    values = _linspace(lo, hi, params, "points")
     try:
         require(key, values, _DOMAINS[key], ConfigError)
         sub = _RUNNERS[base]({**base_params, key: values})
@@ -460,13 +484,19 @@ def run_command(command, params):
 
 
 def rerun_from_json(text, jobs=1):
-    """Re-execute the run recorded in an emitted JSON result's metadata.
-    `jobs` is accepted for compatibility and has no effect."""
-    table = ResultTable.from_json(text)
-    md = table.metadata
-    if "command" not in md or "config" not in md:
+    """Re-execute the run recorded in an emitted JSON result's metadata,
+    checked as a config file's sections are.  `jobs` is accepted for
+    compatibility and has no effect."""
+    md = ResultTable.from_json(text).metadata
+    if not isinstance(md, dict):
+        md = {}
+    command, config = md.get("command"), md.get("config")
+    if not (isinstance(command, str) and command in _KEY_TABLES and isinstance(config, dict)):
         raise ConfigError("JSON result carries no embedded command/config")
-    return run_command(md["command"], md["config"])
+    sections = {command: {k: v for k, v in config.items() if k != "base_params"}}
+    if command == "sweep":
+        sections.setdefault(str(config.get("base")), config.get("base_params"))
+    return run_command(command, _resolve(command, sections))
 
 
 def _jobs(text):

@@ -392,3 +392,66 @@ def test_json_bytes_match_indent_encoder(names, rows, metadata, draw):
     payload = {"columns": names, "units": units, "metadata": metadata,
                "data": {name: [row[j] for row in values] for j, name in enumerate(names)}}
     assert table.to_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _json_pair(data):
+    """`to_json` of a table of `data`, and the same payload through
+    `json.dumps`, which writes each value as `float.__repr__`."""
+    names = [f"c{j}" for j in range(data.shape[1])]
+    table = ResultTable(columns=names, units=["-"] * len(names), data=data)
+    payload = {"columns": names, "units": table.units, "metadata": {},
+               "data": dict(zip(names, data.T.tolist()))}
+    return table.to_json(), json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# one value; just under, at and over the array encoder's crossover; one
+# block less, exactly and more; and columns that end inside a block
+_JSON_BLOCK = table_module._JSON_BLOCK_VALUES
+_JSON_CROSS = table_module._JSON_MIN_VALUES
+_JSON_SHAPES = [(1, 1), (_JSON_CROSS - 1, 1), (_JSON_CROSS, 1), (_JSON_CROSS + 1, 1),
+                (_JSON_BLOCK - 1, 1), (_JSON_BLOCK, 1), (_JSON_BLOCK + 1, 1),
+                (_JSON_CROSS // 7 + 1, 7), (_JSON_BLOCK // 3 + 1, 5)]
+
+
+@given(shape=st.sampled_from(_JSON_SHAPES),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=300))
+@settings(max_examples=80, deadline=None)
+def test_json_encoder_writes_repr(shape, values):
+    # the drawn values repeat to fill the shape, so that every size is reached
+    data = np.resize(np.array(values, dtype=float), shape)
+    text, want = _json_pair(data)
+    assert text == want
+
+
+def _json_edge_values():
+    powers = np.concatenate([[float(f"1e{k}") for k in range(-323, 309)],
+                             np.ldexp(1.0, np.arange(-1074, 1024))])
+    near = np.array([1e-5, 1e-4, 1e16, 9999999999999998.0, 5e-324, np.finfo(float).max])
+    ints = np.array([2**k + i for k in range(53, 61) for i in (-1, 0, 1)], dtype=float)
+    with np.errstate(over="ignore"):  # the neighbour above the largest double is inf
+        up = np.nextafter(np.concatenate([near, powers]), np.inf)
+    values = np.concatenate([
+        [0.0, 0.1, 0.3], near, powers, np.nextafter(near, 0.0), np.nextafter(powers, 0.0),
+        up[np.isfinite(up)], ints, np.linspace(2.0**53, 2.0**60, 400).round(),
+        np.linspace(0.5, 2.5, 500), np.linspace(1e-7, 1e-6, 500), np.linspace(-3.0, 3.0, 61),
+    ])
+    return np.concatenate([values, -values]).reshape(-1, 2)
+
+
+def test_json_encoder_edge_values():
+    text, want = _json_pair(_json_edge_values())
+    assert text == want
+
+
+def test_json_exact_path_alone_writes_the_same_bytes(monkeypatch):
+    # an infinite ambiguity band sends every nonzero value to `repr`
+    monkeypatch.setattr(table_module, "_BAND", np.inf)
+    text, want = _json_pair(_json_edge_values())
+    assert text == want
+
+
+def test_json_encoder_decides_most_values_itself():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 300, 20_000)
+    assert np.count_nonzero(table_module._shortest(x)[3]) < 0.02 * x.size

@@ -446,6 +446,33 @@ class TestSerialization:
             again = rerun_from_json(text)
             assert again.to_json() == text
 
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("cavity", ["in1"], -1.0, "in1 must be finite and >= 0, got -1.0"),
+        ("cavity", ["in1"], math.nan, "in1 must be finite and >= 0, got nan"),
+        ("cavity", ["d2_m"], "thin", "bad value for d2_m: 'thin'"),
+        ("cavity", ["omega_points"], 4.5, "bad value for omega_points: 4.5"),
+        ("polariton", ["mass_kg"], True, "bad value for mass_kg: True"),
+        ("sweep", ["points"], 0, "points must be real and >= 1, got 0"),
+        ("sweep", ["base_params", "d2_m"], -1.0, "d2_m must be positive and finite, got -1.0"),
+        ("sweep", ["base_params", "in1"], [1.0], "bad value for in1: [1.0]"),
+        ("sweep", ["base"], "sweep", "sweep base must be a non-sweep command, got 'sweep'"),
+        ("sweep", ["base_params"], None, "sweep base [force] section missing"),
+        ("force", [], [], "JSON result carries no embedded command/config"),
+        ("force", None, [], "JSON result carries no embedded command/config"),
+    ])
+    def test_rerun_checks_the_embedded_config(self, config_path, command, path, value,
+                                              message):
+        payload = json.loads(run_command(command, load_config(config_path, command)).to_json())
+        # path None replaces the metadata itself
+        *parents, key = ["metadata"] if path is None else ["metadata", "config", *path]
+        section = payload
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ConfigError) as info:
+            rerun_from_json(json.dumps(payload))
+        assert str(info.value) == message
+
     def test_metadata_records_conventions(self, config_path):
         table = run_force(load_config(config_path, "force"))
         assert table.metadata["constants_version"] == "CODATA-2018"
@@ -510,7 +537,7 @@ class TestMainEntry:
          "energy_ev in rad/s must be positive and finite, got inf"),
         # sweep values name their row
         (["sweep", "min=-1e308", "max=1e308"],
-         "row 0 (d2_m=nan): d2_m must be positive and finite, got nan"),
+         "max - min overflows: min = -1e+308, max = 1e+308"),
         (["sweep", "base=cavity", "cavity.omega_points=1", "cavity.in1=",
           "parameter=t_left_k", "min=-1", "max=1", "points=3"],
          "row 0 (t_left_k=-1): t_left_k must be finite and >= 0, got -1.0"),
@@ -523,6 +550,20 @@ class TestMainEntry:
                                                     message):
         assert main([argv[0], "--config", config_path, *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
+
+    # numpy raises ValueError, IndexError or MemoryError, by the size of the count
+    @pytest.mark.parametrize("argv", [
+        ["polariton", "n_points=100000000000000000000"],
+        ["polariton", f"n_points={2**63 - 1}"],
+        ["polariton", f"n_points={2**59}"],
+        ["cavity", "omega_points=100000000000000000000"],
+        ["sweep", "points=100000000000000000000"],
+    ])
+    def test_row_count_beyond_allocation_names_the_key(self, config_path, capsys, argv):
+        assert main([argv[0], "--config", config_path, *argv[1:]]) == 2
+        key, count = argv[1].split("=")
+        assert capsys.readouterr().err == (
+            f"error: config: {key} = {count} is more points than can be allocated\n")
 
     @pytest.mark.parametrize("text, where", [
         ("energy_ev = 1.0\n[polariton]\n", "line: 1"),
