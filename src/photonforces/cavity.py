@@ -9,11 +9,13 @@ which the composite coefficients take the form
     T1  = t1*nu2,   T2 = t2,
 
 and the directional photon numbers in each layer are linear in the two
-input occupations <n_1+> and <n_3->.  The intracavity numbers carry no
-phase: for a lossless stack |nu2|^2 / Re[1 + 2 R1' R2 nu2 e^{2 i k2 d2}]
-is exactly 1 / (1 - r1^2 r2^2), a per-stack constant computed in a
-cancellation-free product form.  For a lossless stack every output lies
-between the two inputs, so equal inputs are a fixed point.
+input occupations <n_1+> and <n_3->.  `photon_numbers` evaluates the stack
+once into the real record that every force term reads: these numbers,
+|R1|^2, (n3/n1)|T1 T2|^2 and the layer totals.  The intracavity numbers
+carry no phase: |nu2|^2 / Re[1 + 2 R1' R2 nu2 e^{2 i k2 d2}] is exactly
+1 / (1 - r1^2 r2^2), a per-stack constant computed in a cancellation-free
+product form.  For a lossless stack every output lies between the two
+inputs, so equal inputs are a fixed point.
 
 Every function broadcasts over numpy arrays of omega, of the input
 occupations and of the stack parameters themselves: one call evaluates a
@@ -141,8 +143,8 @@ def composite(stack, omega):
 
 @dataclass(frozen=True)
 class DirectionalPhotonNumbers:
-    """The six directional photon-number expectation values over omega, and
-    the composite amplitudes of the stack they were computed from."""
+    """A stack's photon-number record over omega: the six directional values,
+    R1_sq = |R1|^2, T_sq = (n3/n1)|T1 T2|^2 and the layer totals <n1..3>."""
 
     n1p: float
     n1m: float
@@ -150,7 +152,9 @@ class DirectionalPhotonNumbers:
     n2m: float
     n3p: float
     n3m: float
-    amplitudes: CompositeCoefficients
+    R1_sq: float
+    T_sq: float
+    totals: tuple
 
 
 def _abs_sq(z):
@@ -158,27 +162,29 @@ def _abs_sq(z):
 
 
 def photon_numbers(stack, omega, in1, in3):
-    """Directional photon numbers for inputs <n_1+> = in1, <n_3-> = in3."""
+    """Photon-number record for inputs <n_1+> = in1, <n_3-> = in3."""
     require("in1", in1, NONNEGATIVE)
     require("in3", in3, NONNEGATIVE)
     cc = composite(stack, omega)
     i1, i2 = stack.interfaces
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
     # Every transmitted amplitude is a real constant times nu2, and a
-    # lossless stack reflects equally from both sides: |R2'|^2 = |R1|^2.
-    nu_sq = _abs_sq(cc.nu2)
+    # lossless stack is reciprocal: |R2'|^2 = |R1|^2 and
+    # (n1/n3)(t1' t2')^2 = (n3/n1)(t1 t2)^2.
     r1_sq = _abs_sq(cc.R1)
-    n1m = r1_sq * in1 + (n1 / n3) * (i1.t_p * i2.t_p) ** 2 * in3 * nu_sq
+    t_sq = (n3 / n1) * (i1.t * i2.t) ** 2 * _abs_sq(cc.nu2)
+    n1m = r1_sq * in1 + t_sq * in3
     n2p = (
         (n2 / n1) * i1.t**2 * in1 + (n2 / n3) * (i2.t_p * i1.r_p) ** 2 * in3
     ) * stack.intracavity
     n2m = (
         (n2 / n1) * (i1.t * i2.r) ** 2 * in1 + (n2 / n3) * i2.t_p**2 * in3
     ) * stack.intracavity
-    n3p = (n3 / n1) * (i1.t * i2.t) ** 2 * in1 * nu_sq + r1_sq * in3
-    return DirectionalPhotonNumbers(
-        n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3, amplitudes=cc
-    )
+    n3p = t_sq * in1 + r1_sq * in3
+    totals = (total_photon_number(in1, n1m), total_photon_number(n2p, n2m),
+              total_photon_number(n3p, in3))
+    return DirectionalPhotonNumbers(n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3,
+                                    R1_sq=r1_sq, T_sq=t_sq, totals=totals)
 
 
 def total_photon_number(n_plus, n_minus):

@@ -4,9 +4,10 @@
                  [--jobs N] [key=value ...]
 
 Commands: polariton | cavity | force | sweep.  The config file is an INI
-file with one section per command; `key=value` overrides on the command
-line win over the file, and `section.key=value` targets another section
-(used by `sweep` to override its base command).  Each given value, each
+file with one section per command, read literally (no `%` interpolation);
+`key=value` overrides on the command line win over the file, and
+`section.key=value` targets a sweep's base section (any other section that
+the run does not read is a config error).  Each given value, each
 energy in rad/s and each sweep value is checked against its key's domain
 (`_DOMAINS`), and so is the config embedded in a JSON result that is rerun;
 a row count that cannot be allocated and a sweep range whose max - min
@@ -148,7 +149,7 @@ def load_config(path, command, overrides=()):
     Returns the resolved params dict; for `sweep` it carries the base
     command's resolved params under 'base_params'.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
         sections = {name: dict(parser.items(name)) for name in parser.sections()}
@@ -159,22 +160,24 @@ def load_config(path, command, overrides=()):
         raise ConfigError(f"cannot read config file {path}")
     if not parser.has_section(command):
         raise ConfigError(f"config has no [{command}] section")
+    targets = []
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, value = item.split("=", 1)
-        if "." in key:
-            section, key = key.split(".", 1)
-        else:
-            section = command
-        key = key.strip()
-        value = value.strip()
+        section, key = key.split(".", 1) if "." in key else (command, key)
+        targets.append((section, item))
+        key, value = key.strip(), value.strip()
         if value:
             sections.setdefault(section, {})[key] = value
-        else:
-            # `key=` with no value unsets the file's entry
+        else:  # `key=` with no value unsets the file's entry
             sections.setdefault(section, {}).pop(key, None)
-    return _resolve(command, sections)
+    params = _resolve(command, sections)
+    for section, item in targets:
+        if section not in (command, params.get("base")):
+            raise ConfigError(f"override {item!r} sets a key of [{section}], which a "
+                              f"{command} run never reads")
+    return params
 
 
 def _resolve(command, sections):
@@ -362,13 +365,10 @@ def run_cavity(params):
     def columns(omega):
         in1, in3 = _inputs(params, omega)
         pn = cav.photon_numbers(stack, omega, in1, in3)
-        cc = pn.amplitudes
-        r1_sq = abs(cc.R1) ** 2
-        t_sq = (stack.n3 / stack.n1) * abs(cc.T1 * cc.T2) ** 2
         return {
             "omega_ev": omega * HBAR / EV, "n1p": pn.n1p, "n1m": pn.n1m, "n2p": pn.n2p,
-            "n2m": pn.n2m, "n3p": pn.n3p, "n3m": pn.n3m, "R1_sq": r1_sq,
-            "T1T2_sq_weighted": t_sq, "identity_residual": r1_sq + t_sq - 1.0,
+            "n2m": pn.n2m, "n3p": pn.n3p, "n3m": pn.n3m, "R1_sq": pn.R1_sq,
+            "T1T2_sq_weighted": pn.T_sq, "identity_residual": pn.R1_sq + pn.T_sq - 1.0,
         }
 
     return _grid_table("cavity", params, _omega_grid(params), _omega_label, columns)

@@ -7,10 +7,12 @@ thermal (TCF), and nonequilibrium (NCF) Casimir forces,
               - hbar*w rho d<n>/dx,
 
 with rho the 1D electromagnetic LDOS and <n> the local total photon
-number.  In a lossless stack both profiles are piecewise constant, so the
-derivatives collapse into impulses at the two interfaces; evaluating rho
-and <n> "at" a jump as the two-sided arithmetic mean makes the impulse
-sum identical to the pressure-difference route
+number: the layer totals of the stack's `photon_numbers` record, which
+also carries the |R1|^2 of the beam law.  In a lossless stack both
+profiles are piecewise constant, so the derivatives collapse into impulses
+at the two interfaces; evaluating rho and <n> "at" a jump as the two-sided
+arithmetic mean makes the impulse sum identical to the pressure-difference
+route
 
     <F>_w = S * [P(x1) - P(x2)],   P = hbar*w*rho*(<n> + 1/2).
 
@@ -63,14 +65,6 @@ class InterfaceImpulses:
         return self.zcf + self.tcf + self.ncf
 
 
-def _layer_totals(numbers):
-    return (
-        total_photon_number(numbers.n1p, numbers.n1m),
-        total_photon_number(numbers.n2p, numbers.n2m),
-        total_photon_number(numbers.n3p, numbers.n3m),
-    )
-
-
 def force_density_decomposition(stack, omega, numbers, rho0=RHO0):
     """ZCF/TCF/NCF impulses at the two interfaces of the stack.
 
@@ -79,7 +73,7 @@ def force_density_decomposition(stack, omega, numbers, rho0=RHO0):
     pressure-difference net force identically.
     """
     rho1, rho2, rho3 = _rho(stack, rho0)
-    n1t, n2t, n3t = _layer_totals(numbers)
+    n1t, n2t, n3t = numbers.totals
     out = []
     for rho_l, rho_r, n_l, n_r in ((rho1, rho2, n1t, n2t), (rho2, rho3, n2t, n3t)):
         d_rho = rho_r - rho_l
@@ -112,7 +106,7 @@ def net_force_pressure(stack, omega, numbers, x1, x2, S, rho0=RHO0):
             stacklevel=2,
         )
     rho1, _, rho3 = _rho(stack, rho0)
-    n1t, _, n3t = _layer_totals(numbers)
+    n1t, _, n3t = numbers.totals
     p1 = pressure(rho1, n1t, omega)
     p3 = pressure(rho3, n3t, omega)
     return S * (p1 - p3)
@@ -143,10 +137,9 @@ def beam_ratio(numbers):
     Evaluates (<n1> - <n3>)/<n1+> and checks it against |R1|^2; a relative
     disagreement above 1e-12 trips a numerical guard.
     """
-    n1t = total_photon_number(numbers.n1p, numbers.n1m)
-    n3t = total_photon_number(numbers.n3p, numbers.n3m)
+    n1t, _, n3t = numbers.totals
     ratio = (n1t - n3t) / numbers.n1p
-    r1_sq = abs(numbers.amplitudes.R1) ** 2
+    r1_sq = numbers.R1_sq
     row = first_row(abs(ratio - r1_sq) > 1e-12 * np.maximum(1.0, r1_sq))
     if row is not None:
         raise NumericalGuardError(

@@ -181,6 +181,29 @@ class TestPhotonNumbers:
                 combined, rel=1e-12, abs=1e-12
             )
 
+    @given(e1=eps_values, e2=eps_values, e3=eps_values, d2=widths, hw=energies_ev,
+           in1=occupations, in3=occupations)
+    @settings(max_examples=300, deadline=None)
+    def test_record_matches_the_amplitudes(self, e1, e2, e3, d2, hw, in1, in3):
+        stack = LayerStack(e1, e2, e3, d2)
+        omega = hw * EV / HBAR
+        cc = composite(stack, omega)
+        pn = photon_numbers(stack, omega, in1, in3)
+        assert pn.R1_sq == pytest.approx(abs(cc.R1) ** 2, rel=REL)
+        assert pn.T_sq == pytest.approx(
+            (stack.n3 / stack.n1) * abs(cc.T1 * cc.T2) ** 2, rel=REL)
+        assert pn.totals == (
+            total_photon_number(pn.n1p, pn.n1m),
+            total_photon_number(pn.n2p, pn.n2m),
+            total_photon_number(pn.n3p, pn.n3m),
+        )
+        # n1m's in3 term from the right-incidence amplitudes: reciprocity
+        # makes it the left-incidence transmittance T_sq
+        i1, i2 = stack.interfaces
+        right = (stack.n1 / stack.n3) * (i1.t_p * i2.t_p) ** 2 * abs(cc.nu2) ** 2
+        assert photon_numbers(stack, omega, 0.0, in3).n1m == pytest.approx(
+            right * in3, rel=REL)
+
     def test_reciprocity_equal_outer_layers(self):
         stack = LayerStack(2.5, 7.0, 2.5, 3e-6)
         omega = 1.3 * EV / HBAR

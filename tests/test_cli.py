@@ -105,6 +105,35 @@ class TestConfigParsing:
         params = load_config(config_path, "sweep", ["force.area_m2=3.0"])
         assert params["base_params"]["area_m2"] == 3.0
 
+    def test_own_section_override(self, config_path):
+        assert load_config(config_path, "sweep", ["sweep.points=3"])["points"] == 3
+        assert load_config(config_path, "cavity", ["cavity.eps2=9"])["eps2"] == 9.0
+
+    @pytest.mark.parametrize("command, override", [
+        ("cavity", "cavty.eps2=9"),
+        ("cavity", "force.eps2=9"),
+        ("cavity", "sweep.points=0"),
+        ("sweep", "cavity.eps2=9"),  # the sweep's base is force
+    ])
+    def test_rejects_override_of_a_section_the_run_never_reads(self, config_path, capsys,
+                                                              command, override):
+        assert main([command, "--config", config_path, override]) == 2
+        section = override.split(".")[0]
+        assert capsys.readouterr().err == (
+            f"error: config: override {override!r} sets a key of [{section}], which a "
+            f"{command} run never reads\n")
+
+    def test_percent_in_a_value_is_read_literally(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.replace("eps2 = 4.0", "eps2 = 4%", 1))
+        assert main(["cavity", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: config: bad value for eps2: '4%'\n"
+
+    def test_percent_in_an_unread_section_is_ignored(self, config_path, tmp_path):
+        path = tmp_path / "notes.ini"
+        path.write_text(CONFIG + "\n[notes]\ntext = 100% literal, not %(eps2)s\n")
+        assert load_config(str(path), "cavity") == load_config(config_path, "cavity")
+
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[force]\nmode = beam\n")
