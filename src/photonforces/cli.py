@@ -20,12 +20,16 @@ array call of its single-row base run, with the swept key set to all sweep
 values.  Only float keys that the base reads can be swept, and a sweep
 error names its point as `row i (key=value)`.  --jobs is accepted for
 compatibility and has no effect: output is byte-identical for every value.
+The table is computed and checked before `--out` is opened (or stdout
+taken), and its writer then streams the text there in blocks.
 """
 
 import argparse
 import configparser
+import functools
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -39,6 +43,8 @@ from .errors import (
     NumericalGuardError, first_row, require,
 )
 from .table import ResultTable
+
+_PARSING = threading.Lock()  # held while main() parses its arguments
 
 _BASE_METADATA = {
     "constants_version": CONSTANTS_VERSION,
@@ -508,38 +514,39 @@ def _jobs(text):
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """Built on the first `main()` call, with argparse's own usage line fixed."""
     parser = argparse.ArgumentParser(
-        prog="photonforces",
-        description="Polariton kinematics and cavity electromagnetic forces.",
-    )
+        prog="photonforces", description="Polariton kinematics and cavity electromagnetic forces.")
     parser.add_argument("command", choices=["polariton", "cavity", "force", "sweep"])
     parser.add_argument("--config", required=True, help="INI config file path")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument(
-        "--jobs", type=_jobs, default=1,
-        help="accepted for compatibility; no effect (grids are evaluated as arrays)",
-    )
-    parser.add_argument(
-        "overrides", nargs="*", metavar="key=value",
-        help="config overrides; section.key=value targets another section",
-    )
-    args = parser.parse_intermixed_args(argv)
+    parser.add_argument("--jobs", type=_jobs, default=1, help="accepted for compatibility; "
+                        "no effect (grids are evaluated as arrays)")
+    parser.add_argument("overrides", nargs="*", metavar="key=value",
+                        help="config overrides; section.key=value targets another section")
+    parser.usage = parser.format_usage().removeprefix("usage: ").removesuffix("\n")
+    return parser
+
+
+def main(argv=None):
+    with _PARSING:  # parse_intermixed_args changes the shared parser while it runs
+        args = _parser().parse_intermixed_args(argv)
     try:
         params = load_config(args.config, args.command, args.overrides)
         table = run_command(args.command, params)
-        text = table.to_json() if args.format == "json" else table.to_csv()
+        write = table.write_json if args.format == "json" else table.write_csv
         if args.out:
             try:
                 with open(args.out, "w") as fh:
-                    fh.write(text)
+                    write(fh)
             except OSError as exc:
-                raise ConfigError(
-                    f"cannot write output file {args.out}: {exc.strerror}"
-                ) from exc
+                message = f"cannot write output file {args.out}: {exc.strerror}"
+                raise ConfigError(message) from exc
         else:
-            sys.stdout.write(text)
+            write(sys.stdout)
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

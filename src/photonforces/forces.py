@@ -132,11 +132,10 @@ def total_force_beam(stack, omega, in1, S, rho0=RHO0):
 
 def beam_ratio(numbers):
     """F/F0 of a beam on a stack with eps1 == eps3, from its photon numbers
-    (no input from the right).
-
-    Evaluates (<n1> - <n3>)/<n1+> and checks it against |R1|^2; a relative
-    disagreement above 1e-12 trips a numerical guard.
-    """
+    (no input from the right): the record's |R1|^2.  It is checked against
+    (<n1> - <n3>)/<n1+> = (1 + |R1|^2 - T)/2, which loses the digits of
+    1 - T where |R1|^2 is small; a gap above 1e-12 * max(1, |R1|^2) trips a
+    numerical guard."""
     n1t, _, n3t = numbers.totals
     ratio = (n1t - n3t) / numbers.n1p
     r1_sq = numbers.R1_sq
@@ -147,7 +146,7 @@ def beam_ratio(numbers):
             f"|R1|^2 = {at_row(r1_sq, row)!r}",
             row=row,
         )
-    return ratio
+    return r1_sq
 
 
 def ar_interface_forces(n, omega, in1, S, rho0=RHO0):

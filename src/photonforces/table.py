@@ -9,6 +9,8 @@ convention flags, and the resolved run configuration for reproducibility),
 with sorted keys, a 2-space indent and one value per line: the text of
 `json.dumps(payload, indent=2, sort_keys=True)`.  Values are written as
 Python's shortest round-trip `repr`, so they too read back exactly.
+`write_csv(fh)` / `write_json(fh)` write each format to a text file a block
+at a time; `to_csv()` / `to_json()` are the same writer into a `StringIO`.
 
 CSV rows are encoded as arrays, `_CSV_BLOCK_ROWS` rows at a time, into the
 bytes `%.16e` writes.  Each nonzero |x| is scaled in long double,
@@ -40,6 +42,7 @@ each column's last value is where the text is cut into columns.
 """
 
 import functools
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -312,14 +315,14 @@ class ResultTable:
     def column(self, name):
         return self.data[:, self.columns.index(name)].tolist()
 
-    def to_csv(self):
-        step = _CSV_BLOCK_ROWS
-        return "".join([
-            f"{','.join(self.columns)}\n{','.join(self.units)}\n",
-            *[_csv_rows(self.data[i:i + step]) for i in range(0, len(self.data), step)],
-        ])
+    def write_csv(self, fh):
+        """Write the CSV text to the text file `fh`, a block of rows at a time."""
+        fh.write(f"{','.join(self.columns)}\n{','.join(self.units)}\n")
+        for i in range(0, len(self.data), _CSV_BLOCK_ROWS):
+            fh.write(_csv_rows(self.data[i:i + _CSV_BLOCK_ROWS]))
 
-    def to_json(self):
+    def write_json(self, fh):
+        """Write the JSON text to the text file `fh`, a block of values at a time."""
         # json.dumps with an indent runs its pure-Python encoder over every
         # float, so the data columns are written here in that encoder's
         # layout; the small parts keep json.dumps for escaping and key order
@@ -329,30 +332,36 @@ class ResultTable:
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         names = [json.dumps(self.columns[j]) for j in order]
         rows = len(self.data)
-        if not names:
-            data = "{}"
-        elif not rows:
-            data = "{\n" + ",\n".join(f"    {name}: []" for name in names) + "\n  }"
+        # the sorted columns, end to end, in blocks; `_JSON_END` after each
+        # column's last value is where the next column's head goes
+        values = self.data.T.take(order, axis=0).ravel()
+        fh.write(f'{{\n  "columns": {nested(self.columns)},\n  "data": ')
+        if not values.size:  # no columns, or empty ones, as json.dumps writes them
+            fh.write(nested(dict.fromkeys(self.columns, [])))
         else:
-            # the sorted columns, end to end, in blocks; `_JSON_END` after each
-            # column's last value is where the next column's head goes
-            values = self.data.T.take(order, axis=0).ravel()
             heads = iter([f"{{\n    {names[0]}: [\n      ",
                           *[f"\n    ],\n    {name}: [\n      " for name in names[1:]],
                           "\n    ]\n  }"])
-            data = [next(heads)]
+            fh.write(next(heads))
             for start in range(0, values.size, _JSON_BLOCK_VALUES):
                 block = values[start:start + _JSON_BLOCK_VALUES]
                 # the block's first column end is value (-start - 1) % rows
                 text, *rest = _json_values(block, (-start - 1) % rows, rows).split(_JSON_END)
-                data.append(text)
+                fh.write(text)
                 for piece in rest:
-                    data += [next(heads), piece]
-            data = "".join(data)  # rebound, so that the pieces go before the text is copied
-        return (
-            f'{{\n  "columns": {nested(self.columns)},\n  "data": {data},\n'
-            f'  "metadata": {nested(self.metadata)},\n  "units": {nested(self.units)}\n}}\n'
-        )
+                    fh.writelines([next(heads), piece])
+        fh.write(f',\n  "metadata": {nested(self.metadata)},\n'
+                 f'  "units": {nested(self.units)}\n}}\n')
+
+    def to_csv(self):
+        fh = io.StringIO()
+        self.write_csv(fh)
+        return fh.getvalue()
+
+    def to_json(self):
+        fh = io.StringIO()
+        self.write_json(fh)
+        return fh.getvalue()
 
     @classmethod
     def from_json(cls, text):

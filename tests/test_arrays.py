@@ -455,3 +455,49 @@ def test_json_encoder_decides_most_values_itself():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 300, 20_000)
     assert np.count_nonzero(table_module._shortest(x)[3]) < 0.02 * x.size
+
+
+# (rows, columns): empty tables, a CSV block of 256 rows and its neighbours,
+# JSON blocks of 1024 values and their neighbours (a column end on a block
+# end and either side of it), and a table of many blocks of each
+_WRITER_SHAPES = [(0, 0), (3, 0), (0, 3), (1, 1), (1, 10), (255, 4), (256, 4), (257, 4),
+                  (1023, 1), (1024, 1), (1025, 1), (341, 3), (512, 2), (205, 5), (5000, 10)]
+
+
+def _writer_table(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    data = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+    data[::7] = 0.0
+    return ResultTable(columns=[f"c{j}" for j in range(cols)], units=["-"] * cols, data=data,
+                       metadata={"rows": rows, "note": "é \" \\"})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows, cols", _WRITER_SHAPES)
+def test_writer_to_a_file_gives_the_bytes_of_the_text(tmp_path, rows, cols, fmt):
+    table = _writer_table(rows, cols)
+    path = tmp_path / f"out.{fmt}"
+    with open(path, "w", encoding="utf-8") as fh:
+        getattr(table, f"write_{fmt}")(fh)
+    assert path.read_bytes() == getattr(table, f"to_{fmt}")().encode()
+
+
+class _Writes:
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+@pytest.mark.parametrize("fmt, block", [("csv", 256 * 10 * 25), ("json", 1024 * 32)])
+def test_writer_never_holds_more_than_a_block(fmt, block):
+    table = _writer_table(5000, 10)
+    fh = _Writes()
+    getattr(table, f"write_{fmt}")(fh)
+    assert sum(fh.sizes) == len(getattr(table, f"to_{fmt}")())
+    assert max(fh.sizes) <= block < sum(fh.sizes) / 10

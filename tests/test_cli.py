@@ -1,17 +1,22 @@
 """Tests for config parsing, the four CLI commands, and serialization."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import re
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from photonforces import cli
 from photonforces.cli import (
     _KEY_TABLES,
     load_config,
@@ -631,6 +636,78 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["command"] == "force"
         assert payload["metadata"]["config"]["mode"] == "beam"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["polariton"], ["cavity"], ["force"], ["force", "mode=thermal", "in1=", "t_left_k=300"],
+        ["force", "mode=ar", "n_index=2.0"], ["sweep"],
+        ["cavity", "omega_points=1000"],  # several blocks of each writer
+    ])
+    def test_out_file_and_stdout_get_the_same_bytes(self, config_path, tmp_path, capsys,
+                                                    argv, fmt):
+        argv = [argv[0], "--config", config_path, "--format", fmt, *argv[1:]]
+        out = tmp_path / f"out.{fmt}"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["polariton", "nonsense=1"], 2),
+        (["polariton", "mass_kg=1e-40"], 3),
+        (["force", "in1=1e300", "area_m2=1e300"], 4),
+    ])
+    def test_failed_run_leaves_an_existing_out_file_as_it_was(self, config_path, tmp_path,
+                                                              capsys, argv, code):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept\r\nas it was\n")
+        assert main([argv[0], "--config", config_path, "--out", str(out), *argv[1:]]) == code
+        assert out.read_bytes() == b"kept\r\nas it was\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_failing_partway_is_a_config_error(self, config_path, capsys, fmt):
+        # far more text than one buffer, so the stream fails after its first writes
+        code = main(["cavity", "--config", config_path, "--format", fmt, "--out", "/dev/full",
+                     "omega_points=2000"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: config: cannot write output file /dev/full: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus", "--config", "run.ini"],
+        ["cavity", "--config", "run.ini", "--jobs", "0"],
+        ["cavity", "--config", "run.ini", "--flag"],
+    ])
+    def test_parser_built_once_answers_as_a_fresh_one(self, capsys, argv):
+        def answer(parse):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            out = capsys.readouterr()
+            return exit_info.value.code, out.out, out.err
+
+        cli._parser.cache_clear()
+        first, second = answer(main), answer(main)
+        assert cli._parser() is cli._parser()
+        fresh = cli._parser.__wrapped__()
+        fresh.usage = None  # argparse generates it, as for an unfixed parser
+        assert first == second == answer(fresh.parse_intermixed_args)
+        assert "usage: photonforces " in first[1] + first[2]
+
+    def test_concurrent_calls_leave_the_shared_parser_intact(self, config_path):
+        # parse_intermixed_args saves and restores state on the parser's
+        # actions; two parses at once without the lock can restore the saved
+        # state of the other, which breaks every later parse in the process
+        argv = ["polariton", "--config", config_path, "n_points=2", "--out", os.devnull]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                codes = list(pool.map(lambda _: main(argv), range(200), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == [0] * 200
+        assert main(argv) == 0
 
 
 # nan and +-inf lie outside every key's domain, and -1.0 outside all but

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from photonforces import (
     reflector_force,
     total_force_beam,
 )
+from photonforces.cli import run_command
 from photonforces.constants import C, EV, HBAR
 
 REL = 1e-12
@@ -187,6 +189,40 @@ class TestBeamForceLaw:
     def test_rejects_unequal_outer_layers(self):
         with pytest.raises(ValueError):
             total_force_beam(LayerStack(1.0, 4.0, 2.0, 1e-6), 1.0 * EV / HBAR, 1.0, 1.0)
+
+    @staticmethod
+    def reflectance_50_digits(stack, omega):
+        """|R1|^2 of an eps1 == eps3 == 1 stack to 50 digits, at the round-trip
+        phase the library reduces in floats (cavity._phase_factor)."""
+        phase = 2.0 * stack.k2(omega) * stack.d2 % (2.0 * math.pi)
+        phase = phase - 2.0 * math.pi * (phase > math.pi)
+        with mpmath.workdps(50):
+            n2 = mpmath.sqrt(mpmath.mpf(stack.eps2))
+            r1 = (1 - n2) / (1 + n2)  # r2 = -r1
+            e = mpmath.expj(mpmath.mpf(phase))
+            return float(abs((r1 - r1 * e) / (1 - r1 * r1 * e)) ** 2)
+
+    def test_cli_ratio_is_the_50_digit_reflectance(self):
+        # 1-row beam runs in the ranges of the benchmark's `small` calls
+        # (eps2 1.5-12, d2 1e-7 to 2e-6 m, 0.3-3 eV); every other one is moved
+        # to within 1e-10..1e-3 (relative) of a transmission resonance, where
+        # |R1|^2 is small and (<n1> - <n3>)/<n1+> has lost its digits
+        rng = np.random.default_rng(20261018)
+        near_zero = 0
+        for i in range(300):
+            eps2, d2, ev = rng.uniform(1.5, 12.0), rng.uniform(1e-7, 2e-6), rng.uniform(0.3, 3.0)
+            step = math.pi * C / (math.sqrt(eps2) * d2) * HBAR / EV  # resonance spacing, eV
+            if i % 2 and 0.3 <= step * max(1, round(ev / step)) <= 3.0:
+                depth = 10.0 ** rng.uniform(-10.0, -3.0) * rng.choice([-1.0, 1.0])
+                ev = step * max(1, round(ev / step)) * (1.0 + depth)
+            table = run_command("force", {
+                "mode": "beam", "eps1": 1.0, "eps2": eps2, "eps3": 1.0, "d2_m": d2,
+                "omega_min_ev": ev, "omega_points": 1, "in1": 1.0, "area_m2": 1.0,
+            })
+            want = self.reflectance_50_digits(LayerStack(1.0, eps2, 1.0, d2), ev * EV / HBAR)
+            assert table.column("F_over_F0")[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+            near_zero += want < 1e-7
+        assert near_zero >= 50
 
 
 class TestArInterfaceForces:
