@@ -9,7 +9,6 @@ from .cavity import (
     bose_einstein,
     composite,
     fresnel,
-    occupation,
     photon_numbers,
     total_photon_number,
 )
@@ -18,11 +17,9 @@ from .errors import ConfigError, FeasibilityError, NumericalGuardError, PhotonFo
 from .forces import (
     RHO0,
     InterfaceImpulses,
-    ThermalScenario,
     ar_interface_forces,
     beam_ratio,
     force_density_decomposition,
-    integrate_spectrum,
     net_force_pressure,
     pressure,
     reflector_force,

@@ -199,22 +199,14 @@ def bose_einstein(omega, T):
     """Thermal occupation 1/(e^{hbar*omega/kB*T} - 1), stable at both ends."""
     require("omega", omega, POSITIVE)
     require("T", T, NONNEGATIVE)
-    # rows where kB*T is 0 (T = 0 or underflow) divide by 1, and are zeroed at the end
+    # rows where kB*T is 0 (T = 0 or underflow) divide by 1 and are moved past
+    # the cut at 700, so that they give 0 however small omega is
     kt = KB * T
-    x = HBAR * omega / (kt + (kt == 0))
+    x = HBAR * omega / (kt + (kt == 0)) + 701.0 * (kt == 0)
     # e^-x / (1 - e^-x) cannot overflow; x > 700 is cut to 0 and x < 1e-8
     # takes the Rayleigh-Jeans form 1/x
     n = (x <= 700.0) * np.exp(-x) / -np.expm1(-x)
     if first_row(x < 1e-8) is not None:
         n = np.where(x < 1e-8, 1.0 / x, n)[()]
-    return _plain(n) * (kt > 0)
+    return _plain(n)
 
-
-def occupation(omega, fixed=None, temperature=None):
-    """Input occupation of one side over omega: the `fixed` value if given,
-    else the Bose-Einstein occupation at `temperature` (K) if given, else 0."""
-    if fixed is not None:
-        return fixed
-    if temperature is not None:
-        return bose_einstein(omega, temperature)
-    return 0.0

@@ -13,13 +13,17 @@ energy in rad/s and each sweep value is checked against its key's domain
 a row count that cannot be allocated and a sweep range whose max - min
 overflows are config errors too.  Exit codes: 2 config error, 3 physics
 infeasibility, 4 numerical-guard trip (a non-finite output included); any
-other exception is an internal error and exits 1 with a traceback.
+other exception is an internal error and exits 1 with a traceback.  A
+stdout whose reader closes early ends the run with exit 0 and no message.
 
 Each grid is evaluated as whole numpy columns in one pass; a sweep is one
 array call of its single-row base run, with the swept key set to all sweep
 values.  Only float keys that the base reads can be swept, and a sweep
 error names its point as `row i (key=value)`.  --jobs is accepted for
 compatibility and has no effect: output is byte-identical for every value.
+A beam or thermal force run over more than one frequency records the
+trapezoid of its net_pressure and net_impulse columns over omega (rad/s) in
+the metadata, as integrated_net_pressure_N and integrated_net_impulse_N.
 The table is computed and checked before `--out` is opened (or stdout
 taken), and its writer then streams the text there in blocks.
 """
@@ -28,6 +32,7 @@ import argparse
 import configparser
 import functools
 import math
+import os
 import sys
 import threading
 import warnings
@@ -346,15 +351,19 @@ def _omega_label(omega):
 
 
 def _inputs(params, omega):
-    """Input occupations (in1, in3) over omega, each from a fixed occupation
-    or a temperature key."""
+    """Input occupations (in1, in3) over omega: each side's fixed occupation,
+    else the Bose-Einstein occupation at its temperature, else 0."""
     out = []
     for occ_key, temp_key in (("in1", "t_left_k"), ("in3", "t_right_k")):
         occ = params.get(occ_key)
         temp = params.get(temp_key)
         if occ is not None and temp is not None:
             raise ConfigError(f"give either {occ_key} or {temp_key}, not both")
-        out.append(cav.occupation(omega, occ, temp))
+        if temp is not None:
+            occ = cav.bose_einstein(omega, temp)
+            # kB*T / (hbar*omega) can exceed the float range
+            require(f"{occ_key} from {temp_key}", occ, NONNEGATIVE, NumericalGuardError)
+        out.append(0.0 if occ is None else occ)
     return out
 
 
@@ -387,8 +396,6 @@ def _run_force_ar(params):
 
     def columns(omega):
         f1, f2, kappa = frc.ar_interface_forces(n, omega, params["in1"], params["area_m2"])
-        if first_row(n == 1.0) is not None:  # analytic limit; F1 = F2 = 0 leaves 0/0
-            kappa = np.where(n == 1.0, 0.5, kappa)[()]
         return {"omega_ev": omega * HBAR / EV, "F1": f1, "F2": f2, "F1_plus_F2": f1 + f2,
                 "kappa": kappa}
 
@@ -437,10 +444,17 @@ def run_force(params):
             cols["F_over_F0"] = frc.beam_ratio(numbers)
         return cols
 
-    return _grid_table(
-        "force", params, _omega_grid(params), _omega_label, columns,
-        eps1_ne_eps3_warning=eps_mismatch,
-    )
+    omega = _omega_grid(params)
+    table = _grid_table("force", params, omega, _omega_label, columns,
+                        eps1_ne_eps3_warning=eps_mismatch)
+    if omega.size > 1:  # read as views of the table, once its column arrays are freed
+        for name in ("net_pressure", "net_impulse"):
+            key = f"integrated_{name}_N"
+            value = float(np.trapezoid(table.data[:, table.columns.index(name)], omega))
+            if not math.isfinite(value):
+                raise NumericalGuardError(f"non-finite value {value!r} in {key}")
+            table.metadata[key] = value
+    return table
 
 
 def run_sweep(params):
@@ -546,7 +560,14 @@ def main(argv=None):
                 message = f"cannot write output file {args.out}: {exc.strerror}"
                 raise ConfigError(message) from exc
         else:
-            write(sys.stdout)
+            try:
+                write(sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader stopped early, as `| head` does
+                # so that the interpreter's final flush cannot fail too (exit 120)
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

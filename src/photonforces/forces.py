@@ -24,7 +24,10 @@ constant kappa is 1/2 rather than 1; see ar_interface_forces.
 
 Every function broadcasts: pass numpy arrays of omega or of the stack
 parameters (and the photon numbers computed over them) to evaluate a whole
-grid in one call.
+grid in one call.  The functions here are spectral (per rad/s); the force
+integrated over a frequency grid is the trapezoid of the CLI force table's
+net_pressure and net_impulse columns, which the `force` command records in
+its JSON metadata.
 """
 
 import math
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import occupation, photon_numbers, total_photon_number
+from .cavity import photon_numbers, total_photon_number
 from .constants import C, HBAR
 from .errors import INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require
 
@@ -159,7 +162,8 @@ def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
     beam-induced (thermal + nonequilibrium) part enters F1 and F2; the
     zero-point impulses form a static background that cancels between the
     two interfaces and is excluded from the beam force.  Under this
-    module's LDOS and averaging conventions kappa = 1/2.
+    module's LDOS and averaging conventions kappa = 1/2, which is also its
+    value at n = 1 (the limit of F1 = 0); it is NaN only where in1 = 0.
     """
     require("n", n, INDEX)
     require("omega", omega, POSITIVE)
@@ -172,65 +176,8 @@ def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
     f1 = -S * HBAR * omega * (rho_slab - rho_vac) * n_tot
     f2 = -S * HBAR * omega * (rho_vac - rho_slab) * n_tot
     f0 = reflector_force(omega, in1, S, rho0)
-    undefined = (n == 1) | (in1 == 0)  # kappa is 0/0 there: NaN
+    undefined = (n == 1) | (in1 == 0)  # kappa is 0/0 there
     kappa = f1 / ((1.0 - n) * f0 + undefined)
-    if first_row(undefined) is not None:
-        kappa = np.where(undefined, np.nan, kappa)[()]
+    if first_row(undefined) is not None:  # the limit 1/2 at n = 1; no beam, no kappa
+        kappa = np.where(in1 == 0, np.nan, np.where(n == 1, 0.5, kappa))[()]
     return f1, f2, kappa
-
-
-@dataclass(frozen=True)
-class ThermalScenario:
-    """Spectral-integration scenario: left/right inputs, omega grid, area.
-
-    Each side is either a temperature (occupation from the Bose-Einstein
-    distribution at every grid frequency) or a fixed occupation applied
-    uniformly across the grid.
-    """
-
-    omega_grid: np.ndarray
-    area: float
-    t_left: float | None = None
-    t_right: float | None = None
-    occ_left: float | None = None
-    occ_right: float | None = None
-
-    def __post_init__(self):
-        grid = np.asarray(self.omega_grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("omega grid must not be empty")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("omega grid must be strictly increasing")
-        require("area", self.area, POSITIVE)
-        for side, temp, occ in (
-            ("left", self.t_left, self.occ_left),
-            ("right", self.t_right, self.occ_right),
-        ):
-            if (temp is None) == (occ is None):
-                raise ValueError(f"{side} side needs exactly one of temperature or occupation")
-        object.__setattr__(self, "omega_grid", grid)
-
-
-def integrate_spectrum(scenario, stack, quantity="net_force", rho0=RHO0):
-    """Trapezoidal integral of a spectral quantity over the scenario grid.
-
-    quantity: 'net_force' (pressure-difference route) or 'interface_force'
-    (sum of ZCF+TCF+NCF impulses times area) -- the two agree to rounding.
-    A single-point grid returns the spectral value itself.
-    """
-    if quantity not in ("net_force", "interface_force"):
-        raise ValueError(f"unknown spectral quantity {quantity!r}")
-    grid = scenario.omega_grid
-    in1 = occupation(grid, scenario.occ_left, scenario.t_left)
-    in3 = occupation(grid, scenario.occ_right, scenario.t_right)
-    numbers = photon_numbers(stack, grid, in1, in3)
-    if quantity == "net_force":
-        values = net_force_pressure(
-            stack, grid, numbers, -1.0, math.inf, scenario.area, rho0
-        )
-    else:
-        imp1, imp2 = force_density_decomposition(stack, grid, numbers, rho0)
-        values = scenario.area * (imp1.total + imp2.total)
-    if values.size == 1:
-        return float(values[0])
-    return float(np.trapezoid(values, grid))

@@ -253,6 +253,9 @@ class TestBoseEinstein:
 
     def test_zero_temperature(self):
         assert bose_einstein(1.0 * EV / HBAR, 0.0) == 0.0
+        # hbar*omega below the smallest normal double, where 1/x overflows
+        assert bose_einstein(1e-285, 0.0) == 0.0
+        assert bose_einstein(np.array([1e-285, 1.0]), 0.0).tolist() == [0.0, 0.0]
 
     def test_room_temperature_100mev(self):
         omega = 0.1 * EV / HBAR

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -330,6 +331,61 @@ class TestForceCommand:
             run_force(params)
 
 
+class TestIntegratedForce:
+    """A beam or thermal force run over more than one frequency records the
+    trapezoid of its net_pressure and net_impulse columns over omega (rad/s)
+    in its metadata; these values are as deterministic as the table."""
+
+    GRID = ["omega_min_ev=0.5", "omega_max_ev=2.0", "omega_points=300"]
+    RUNS = {
+        "beam": GRID,
+        "thermal": ["mode=thermal", "in1=", "t_left_k=3000", "t_right_k=300", *GRID],
+    }
+    KEYS = ("integrated_net_pressure_N", "integrated_net_impulse_N")
+
+    @pytest.mark.parametrize("mode", ["beam", "thermal"])
+    def test_keys_are_the_trapezoids_of_the_columns(self, config_path, mode):
+        table = run_force(load_config(config_path, "force", self.RUNS[mode]))
+        omega = np.linspace(0.5 * EV / HBAR, 2.0 * EV / HBAR, 300)
+        for key in self.KEYS:
+            column = table.column(key.removeprefix("integrated_").removesuffix("_N"))
+            assert table.metadata[key] == float(np.trapezoid(column, omega))
+        assert table.metadata[self.KEYS[0]] == pytest.approx(table.metadata[self.KEYS[1]],
+                                                             rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["beam", "thermal"])
+    def test_keys_are_byte_identical_across_jobs_and_rerun(self, config_path, capsys, mode):
+        def text(jobs):
+            argv = ["force", "--config", config_path, "--format", "json", "--jobs", jobs]
+            assert main([*argv, *self.RUNS[mode]]) == 0
+            return capsys.readouterr().out
+
+        one = text("1")
+        assert text("2") == one
+        assert all(key in json.loads(one)["metadata"] for key in self.KEYS)
+        assert rerun_from_json(one).to_json() == one
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("force", []),  # one frequency
+        ("force", ["mode=ar", "n_index=2.0", "omega_max_ev=2.0", "omega_points=5"]),
+        ("sweep", []),  # its base is single-row
+    ])
+    def test_no_keys_without_a_spectrum(self, config_path, command, overrides):
+        table = run_command(command, load_config(config_path, command, overrides))
+        assert not [key for key in table.metadata if key.startswith("integrated_")]
+
+    def test_overflowing_integral_is_a_guard_error(self, config_path, capsys):
+        # every column is finite, but the trapezoid over 1 to 1e4 eV is not
+        code = main(["force", "--config", config_path, "--format", "json", "in1=1e300",
+                     "area_m2=1e30", "omega_min_ev=1", "omega_max_ev=10000",
+                     "omega_points=2"])
+        assert code == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: numerical-guard: non-finite value inf in "
+                           "integrated_net_pressure_N\n")
+
+
 class TestGridErrors:
     @pytest.mark.parametrize("command", ["cavity", "force"])
     def test_guard_error_names_first_row_and_omega(self, config_path, command, capsys):
@@ -620,6 +676,9 @@ class TestMainEntry:
         # a one-point grid runs on Python floats, where the same hbar*k0 = 0
         # raises instead of giving nan
         (["polariton", "energy_ev=1e-300", "n_points=1"], "row 0 (n=1): float division by zero"),
+        # kB*T / (hbar*omega) beyond the float range
+        (["cavity", "in1=", "t_left_k=1e300", "omega_min_ev=1e-300"],
+         "row 0 (omega=9.99987e-301 eV): in1 from t_left_k must be finite and >= 0, got inf"),
     ])
     def test_nonfinite_output_is_a_guard_error(self, config_path, capsys, argv, message):
         assert main([argv[0], "--config", config_path, *argv[1:]]) == 4
@@ -693,6 +752,23 @@ class TestMainEntry:
         fresh.usage = None  # argparse generates it, as for an unfixed parser
         assert first == second == answer(fresh.parse_intermixed_args)
         assert "usage: photonforces " in first[1] + first[2]
+
+    def test_closed_stdout_ends_with_exit_0(self, config_path):
+        # a reader that stops after 100 bytes, as `| head -c 100` does, of
+        # a table far larger than the pipe's buffer
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "photonforces.cli", "cavity", "--config", config_path,
+             "omega_points=20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
+        assert head.startswith(b"omega_ev,n1p,")
 
     def test_concurrent_calls_leave_the_shared_parser_intact(self, config_path):
         # parse_intermixed_args saves and restores state on the parser's

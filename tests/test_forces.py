@@ -13,19 +13,17 @@ from photonforces import (
     RHO0,
     LayerStack,
     NumericalGuardError,
-    ThermalScenario,
     ar_interface_forces,
     bose_einstein,
     composite,
     force_density_decomposition,
-    integrate_spectrum,
     net_force_pressure,
     photon_numbers,
     pressure,
     reflector_force,
     total_force_beam,
 )
-from photonforces.cli import run_command
+from photonforces.cli import main, run_command
 from photonforces.constants import C, EV, HBAR
 
 REL = 1e-12
@@ -254,6 +252,15 @@ class TestArInterfaceForces:
         assert f1 == pytest.approx(kappa * (1.0 - 2.0) * f0, rel=REL)
         assert f1 < 0
 
+    def test_kappa_is_its_limit_at_unit_index_and_nan_without_a_beam(self):
+        omega = 1.0 * EV / HBAR
+        assert ar_interface_forces(1.0, omega, 1.0, 1.0)[2] == 0.5
+        kappa = ar_interface_forces(np.array([1.0, 2.0, 1.0]), omega,
+                                    np.array([1.0, 1.0, 0.0]), 1.0)[2]
+        assert kappa[0] == 0.5
+        assert kappa[1] == pytest.approx(0.5, rel=1e-12)
+        assert math.isnan(kappa[2])
+        assert math.isnan(ar_interface_forces(2.0, omega, 0.0, 1.0)[2])
 
     @pytest.mark.parametrize("n, omega, in1, S, name", [
         (0.5, 1.0, 1.0, 1.0, "n"), (np.nan, 1.0, 1.0, 1.0, "n"),
@@ -281,34 +288,49 @@ class TestNormalizationIndependence:
 
 
 class TestIntegrateSpectrum:
-    def grid(self, points=101):
-        return np.linspace(0.05, 2.0, points) * EV / HBAR
+    """The integrated force of a multi-point thermal `force` run: the
+    trapezoid over omega (rad/s) of its net_pressure and net_impulse
+    columns, recorded in the metadata."""
+
+    STACK = {"eps1": 1.0, "eps2": 4.0, "eps3": 1.0, "d2_m": 1e-6}
+
+    def run(self, points=101, **params):
+        return run_command("force", {
+            "mode": "thermal", **self.STACK, "omega_min_ev": 0.05, "omega_max_ev": 2.0,
+            "omega_points": points, "area_m2": 1.0, **params,
+        })
+
+    @staticmethod
+    def integrated(table, column="net_pressure"):
+        return table.metadata[f"integrated_{column}_N"]
+
+    @staticmethod
+    def main_exit(tmp_path, capsys, *overrides):
+        path = tmp_path / "run.ini"
+        path.write_text("[force]\nmode = thermal\neps2 = 4.0\nd2_m = 1e-6\n"
+                        "omega_min_ev = 0.05\nomega_max_ev = 2.0\nomega_points = 11\n"
+                        "t_left_k = 300\nt_right_k = 0\n")
+        code = main(["force", "--config", str(path), "--format", "json", *overrides])
+        return code, capsys.readouterr()
 
     def test_equilibrium_zero_at_any_resolution(self):
-        stack = LayerStack(1.0, 4.0, 1.0, 1e-6)
         for points in (11, 101, 501):
-            scenario = ThermalScenario(
-                omega_grid=self.grid(points), area=1.0, t_left=300.0, t_right=300.0
-            )
-            assert integrate_spectrum(scenario, stack) == 0.0
+            table = self.run(points, t_left_k=300.0, t_right_k=300.0)
+            assert self.integrated(table) == 0.0
 
     def test_single_point_reduces_to_spectral_value(self):
         stack = LayerStack(1.0, 4.0, 1.0, 1e-6)
         omega = 1.0 * EV / HBAR
-        scenario = ThermalScenario(
-            omega_grid=np.array([omega]), area=1.0, occ_left=1.0, occ_right=0.0
-        )
+        table = self.run(1, omega_min_ev=1.0, in1=1.0, in3=0.0)
+        assert not [key for key in table.metadata if key.startswith("integrated_")]
         numbers = photon_numbers(stack, omega, 1.0, 0.0)
         expected = quiet_net_force(stack, omega, numbers, 1.0)
-        assert integrate_spectrum(scenario, stack) == pytest.approx(expected, rel=REL)
+        assert table.column("net_pressure")[0] == pytest.approx(expected, rel=REL)
 
     def test_thermal_beam_matches_manual_reflectance_integral(self):
         stack = LayerStack(1.0, 4.0, 1.0, 1e-6)
-        grid = self.grid(401)
-        scenario = ThermalScenario(
-            omega_grid=grid, area=1.0, t_left=300.0, t_right=0.0
-        )
-        value = integrate_spectrum(scenario, stack)
+        grid = np.linspace(0.05 * EV / HBAR, 2.0 * EV / HBAR, 401)  # the run's grid
+        value = self.integrated(self.run(401, t_left_k=300.0, t_right_k=0.0))
         manual = np.trapezoid(
             [
                 abs(composite(stack, w).R1) ** 2
@@ -320,47 +342,37 @@ class TestIntegrateSpectrum:
         assert value == pytest.approx(manual, rel=1e-10)
 
     def test_grid_refinement_converges(self):
-        stack = LayerStack(1.0, 2.25, 1.0, 1e-8)
-        results = []
-        for points in (4001, 8001):
-            scenario = ThermalScenario(
-                omega_grid=np.linspace(0.1, 1.0, points) * EV / HBAR,
-                area=1.0, t_left=300.0, t_right=0.0,
-            )
-            results.append(integrate_spectrum(scenario, stack))
+        results = [
+            self.integrated(self.run(points, eps2=2.25, d2_m=1e-8, omega_min_ev=0.1,
+                                     omega_max_ev=1.0, t_left_k=300.0, t_right_k=0.0))
+            for points in (4001, 8001)
+        ]
         assert abs(results[1] - results[0]) / abs(results[1]) < 1e-6
 
     def test_routes_agree(self):
-        stack = LayerStack(1.0, 4.0, 1.0, 1e-6)
-        scenario = ThermalScenario(
-            omega_grid=self.grid(51), area=2.0, occ_left=1.0, occ_right=0.2
-        )
-        a = integrate_spectrum(scenario, stack, "net_force")
-        b = integrate_spectrum(scenario, stack, "interface_force")
+        table = self.run(51, area_m2=2.0, in1=1.0, in3=0.2)
+        a = self.integrated(table, "net_pressure")
+        b = self.integrated(table, "net_impulse")
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_routes_agree_for_a_cavity_wider_than_2_53_m(self):
         # d2 + 1 == d2 here, so the layer-3 point must not be built from d2
-        stack = LayerStack(1.0, 4.0, 1.0, 1e17)
-        scenario = ThermalScenario(omega_grid=self.grid(5), area=1.0, t_left=3000.0,
-                                   t_right=300.0)
-        a = integrate_spectrum(scenario, stack, "net_force")
-        b = integrate_spectrum(scenario, stack, "interface_force")
+        table = self.run(5, d2_m=1e17, t_left_k=3000.0, t_right_k=300.0)
+        a = self.integrated(table, "net_pressure")
+        b = self.integrated(table, "net_impulse")
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            ThermalScenario(omega_grid=np.array([]), area=1.0, occ_left=1.0, occ_right=0.0)
+    def test_rejects_empty_grid(self, tmp_path, capsys):
+        code, out = self.main_exit(tmp_path, capsys, "omega_points=0")
+        assert code == 2 and out.out == ""
+        assert out.err == "error: config: omega_points must be real and >= 1, got 0\n"
 
-    def test_rejects_decreasing_grid(self):
-        with pytest.raises(ValueError):
-            ThermalScenario(
-                omega_grid=np.array([2.0, 1.0]), area=1.0, occ_left=1.0, occ_right=0.0
-            )
+    def test_rejects_decreasing_grid(self, tmp_path, capsys):
+        code, out = self.main_exit(tmp_path, capsys, "omega_min_ev=2.0", "omega_max_ev=1.0")
+        assert code == 2 and out.out == ""
+        assert out.err == "error: config: omega_max_ev must exceed omega_min_ev\n"
 
-    def test_requires_one_input_spec_per_side(self):
-        with pytest.raises(ValueError):
-            ThermalScenario(
-                omega_grid=np.array([1.0]), area=1.0,
-                t_left=300.0, occ_left=1.0, occ_right=0.0,
-            )
+    def test_requires_one_input_spec_per_side(self, tmp_path, capsys):
+        code, out = self.main_exit(tmp_path, capsys, "in1=1.0")
+        assert code == 2 and out.out == ""
+        assert out.err == "error: config: give either in1 or t_left_k, not both\n"
