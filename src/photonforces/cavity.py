@@ -203,10 +203,10 @@ def bose_einstein(omega, T):
     # the cut at 700, so that they give 0 however small omega is
     kt = KB * T
     x = HBAR * omega / (kt + (kt == 0)) + 701.0 * (kt == 0)
-    # e^-x / (1 - e^-x) cannot overflow; x > 700 is cut to 0 and x < 1e-8
-    # takes the Rayleigh-Jeans form 1/x
+    # x > 700 is cut to 0, and x < 1e-8 takes the Rayleigh-Jeans form 1/x: inf,
+    # with numpy's RuntimeWarning, for a float or an array where x < 5.6e-309
     n = (x <= 700.0) * np.exp(-x) / -np.expm1(-x)
     if first_row(x < 1e-8) is not None:
-        n = np.where(x < 1e-8, 1.0 / x, n)[()]
+        n = np.where(x < 1e-8, np.divide(1.0, x), n)[()]
     return _plain(n)
 

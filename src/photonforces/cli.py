@@ -7,20 +7,22 @@ Commands: polariton | cavity | force | sweep.  The config file is an INI
 file with one section per command, read literally (no `%` interpolation);
 `key=value` overrides on the command line win over the file, and
 `section.key=value` targets a sweep's base section (any other section that
-the run does not read is a config error).  Each given value, each
-energy in rad/s and each sweep value is checked against its key's domain
-(`_DOMAINS`), and so is the config embedded in a JSON result that is rerun;
-a row count that cannot be allocated and a sweep range whose max - min
-overflows are config errors too.  Exit codes: 2 config error, 3 physics
-infeasibility, 4 numerical-guard trip (a non-finite output included); any
-other exception is an internal error and exits 1 with a traceback.  A
-stdout whose reader closes early ends the run with exit 0 and no message.
+the run does not read is a config error).  Each given value, each energy
+in rad/s and each sweep value is checked against its key's domain (the
+third field of the key's row in `_KEY_TABLES`), and so is the config
+embedded in a JSON result that is rerun; a row count that cannot be
+allocated and a sweep range whose max - min overflows are config errors
+too.  Exit codes: 2 config error, 3 physics infeasibility, 4
+numerical-guard trip (a non-finite output included); any other exception
+is an internal error and exits 1 with a traceback.  A stdout whose reader
+closes early ends the run with exit 0 and no message.
 
 Each grid is evaluated as whole numpy columns in one pass; a sweep is one
 array call of its single-row base run, with the swept key set to all sweep
-values.  Only float keys that the base reads can be swept, and a sweep
-error names its point as `row i (key=value)`.  --jobs is accepted for
-compatibility and has no effect: output is byte-identical for every value.
+values, which become the first column.  Only float keys that the base
+reads can be swept, and a sweep error about a point (a mode rule's too)
+names it as `row i (key=value)`.  --jobs is accepted for compatibility and
+has no effect: output is byte-identical for every value.
 A beam or thermal force run over more than one frequency records the
 trapezoid of its net_pressure and net_impulse columns over omega (rad/s) in
 the metadata, as integrated_net_pressure_N and integrated_net_impulse_N.
@@ -35,7 +37,6 @@ import math
 import os
 import sys
 import threading
-import warnings
 
 import numpy as np
 
@@ -57,60 +58,56 @@ _BASE_METADATA = {
     "total_photon_number": "average of directional values, (n+ + n-)/2",
 }
 
-# Per-command key tables: name -> (parser, default); REQUIRED means no default.
+# Per-command key tables: name -> (parser, default, domain); REQUIRED means
+# no default.  A numeric key has the same domain in every table, and a string
+# key none; mode rules stay in run_force.
 _REQUIRED = object()
 
 _POLARITON_KEYS = {
-    "energy_ev": (float, 1.0),
-    "n_min": (float, 1.0),
-    "n_max": (float, 3.0),
-    "n_points": (int, 201),
-    "mass_kg": (float, 1.0),
-    "length_m": (float, 1.0),
-    "convention": (str, "minkowski"),
-    "momentum_kgms": (float, None),
+    "energy_ev": (float, 1.0, POSITIVE),
+    "n_min": (float, 1.0, INDEX),
+    "n_max": (float, 3.0, INDEX),
+    "n_points": (int, 201, INDEX),
+    "mass_kg": (float, 1.0, POSITIVE),
+    "length_m": (float, 1.0, POSITIVE),
+    "convention": (str, "minkowski", None),
+    "momentum_kgms": (float, None, NONNEGATIVE),
 }
 
 _STACK_KEYS = {
-    "eps1": (float, 1.0),
-    "eps2": (float, _REQUIRED),
-    "eps3": (float, 1.0),
-    "d2_m": (float, _REQUIRED),
+    "eps1": (float, 1.0, INDEX),
+    "eps2": (float, _REQUIRED, INDEX),
+    "eps3": (float, 1.0, INDEX),
+    "d2_m": (float, _REQUIRED, POSITIVE),
 }
 
 _GRID_KEYS = {
-    "omega_min_ev": (float, _REQUIRED),
-    "omega_max_ev": (float, None),
-    "omega_points": (int, 1),
+    "omega_min_ev": (float, _REQUIRED, POSITIVE),
+    "omega_max_ev": (float, None, POSITIVE),
+    "omega_points": (int, 1, INDEX),
 }
 
-_INPUT_KEYS = {
-    "in1": (float, None),
-    "in3": (float, None),
-    "t_left_k": (float, None),
-    "t_right_k": (float, None),
-}
+_INPUT_KEYS = dict.fromkeys(["in1", "in3", "t_left_k", "t_right_k"], (float, None, NONNEGATIVE))
 
 _CAVITY_KEYS = {**_STACK_KEYS, **_GRID_KEYS, **_INPUT_KEYS}
 
 _FORCE_KEYS = {
-    "mode": (str, "beam"),
-    "n_index": (float, None),
-    "area_m2": (float, 1.0),
+    "mode": (str, "beam", None),
+    "n_index": (float, None, INDEX),
+    "area_m2": (float, 1.0, POSITIVE),
     **_STACK_KEYS,
+    "eps2": (float, None, INDEX),  # the AR mode needs no stack
+    "d2_m": (float, None, POSITIVE),
     **_GRID_KEYS,
     **_INPUT_KEYS,
 }
-# the AR mode needs no stack
-_FORCE_KEYS["eps2"] = (float, None)
-_FORCE_KEYS["d2_m"] = (float, None)
 
 _SWEEP_KEYS = {
-    "base": (str, _REQUIRED),
-    "parameter": (str, _REQUIRED),
-    "min": (float, _REQUIRED),
-    "max": (float, _REQUIRED),
-    "points": (int, _REQUIRED),
+    "base": (str, _REQUIRED, None),
+    "parameter": (str, _REQUIRED, None),
+    "min": (float, _REQUIRED, FINITE),
+    "max": (float, _REQUIRED, FINITE),
+    "points": (int, _REQUIRED, INDEX),
 }
 
 _KEY_TABLES = {
@@ -118,16 +115,6 @@ _KEY_TABLES = {
     "cavity": _CAVITY_KEYS,
     "force": _FORCE_KEYS,
     "sweep": _SWEEP_KEYS,
-}
-
-# What each numeric key may take, in every section; mode rules stay in run_force
-_DOMAINS = {
-    **dict.fromkeys(["energy_ev", "mass_kg", "length_m", "d2_m", "omega_min_ev",
-                     "omega_max_ev", "area_m2"], POSITIVE),
-    **dict.fromkeys(["n_min", "n_max", "n_index", "eps1", "eps2", "eps3", "n_points",
-                     "omega_points", "points"], INDEX),
-    **dict.fromkeys(["momentum_kgms", "in1", "in3", "t_left_k", "t_right_k"], NONNEGATIVE),
-    "min": FINITE, "max": FINITE,
 }
 
 
@@ -139,14 +126,14 @@ def _parse_section(raw, command):
     if unknown:
         raise ConfigError(f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
     params = {}
-    for key, (parse, default) in table.items():
+    for key, (parse, default, domain) in table.items():
         if key in raw:
             try:  # from text, so that a JSON bool or a fractional count fails
                 params[key] = parse(str(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
-            if key in _DOMAINS:
-                require(key, params[key], _DOMAINS[key], ConfigError)
+            if domain is not None:
+                require(key, params[key], domain, ConfigError)
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key for {command}: {key}")
         elif default is not None:
@@ -202,7 +189,7 @@ def _resolve(command, sections):
         if not isinstance(sections.get(base), dict):
             raise ConfigError(f"sweep base [{base}] section missing")
         params["base_params"] = _parse_section(sections[base], base)
-        sweepable = [key for key, (parse, _) in _KEY_TABLES[base].items() if parse is float]
+        sweepable = [key for key, (parse, *_) in _KEY_TABLES[base].items() if parse is float]
         if params["parameter"] not in sweepable:
             raise ConfigError(
                 f"sweep parameter {params['parameter']!r} is unknown or not a float key "
@@ -246,18 +233,17 @@ def _grid_table(command, params, grid, label, columns, **metadata):
     and build the table; scalar values are broadcast over the rows.
 
     A one-point grid is passed as a Python float: numpy's per-call overhead
-    on 1-element arrays would cost more than the computation.  A parameter
-    given as an array is a sweep over a one-point grid (see run_sweep): it
-    gives a row per value.  A non-finite value is a guard error.  Feasibility
-    and guard errors are re-raised naming their row and its grid (or swept)
-    value.
+    on 1-element arrays would cost more than the computation.  An array
+    parameter is a sweep over a one-point grid (see run_sweep), with a row
+    per value and the values as the first column.  A non-finite value is a
+    guard error; feasibility and guard errors name their row and its value.
     """
-    axis = grid
+    axis, swept = grid, {}
     for key, value in params.items():
         if isinstance(value, np.ndarray):
-            axis, label = value, f"{key}={{:g}}".format
+            axis, label, swept = value, f"{key}={{:g}}".format, {key: value}
     try:
-        cols = columns(grid.item() if grid.size == 1 else grid.ravel())
+        cols = {**swept, **columns(grid.item() if grid.size == 1 else grid.ravel())}
         data = np.empty((len(cols), axis.size))
         for j, values in enumerate(cols.values()):
             data[j] = values
@@ -413,27 +399,26 @@ def run_force(params):
     mode = params["mode"]
     if mode not in ("beam", "thermal", "ar"):
         raise ConfigError(f"unknown force mode {mode!r}")
-    in1 = params.get("in1")
-    if mode != "thermal" and (in1 is None or first_row(in1 <= 0) is not None):
-        raise ConfigError(f"{mode} mode requires a positive in1 beam occupation")
+    row = first_row(params.get("in1", 0.0) <= 0)  # a rule's row names a sweep point
+    if mode != "thermal" and row is not None:
+        raise ConfigError(f"{mode} mode requires a positive in1 beam occupation", row=row)
     if mode == "ar":
         return _run_force_ar(params)
     stack = _stack(params)
     S = params["area_m2"]
-    eps_mismatch = first_row(stack.eps1 != stack.eps3) is not None
-    if mode == "beam" and eps_mismatch:
-        raise ConfigError("beam mode requires eps1 == eps3")
+    mismatch = first_row(stack.eps1 != stack.eps3)
+    if mode == "beam" and mismatch is not None:
+        raise ConfigError("beam mode requires eps1 == eps3", row=mismatch)
 
     def columns(omega):
         in1, in3 = _inputs(params, omega)
-        if mode == "beam" and first_row(in3 != 0.0) is not None:
-            raise ConfigError("beam mode requires zero right-side input (in3 or t_right_k)")
+        row = first_row(in3 != 0.0) if mode == "beam" else None
+        if row is not None:
+            raise ConfigError("beam mode requires zero right-side input (in3 or t_right_k)",
+                              row=row)
         numbers = cav.photon_numbers(stack, omega, in1, in3)
         imp1, imp2 = frc.force_density_decomposition(stack, omega, numbers)
-        with warnings.catch_warnings():
-            if eps_mismatch:  # recorded in the metadata as eps1_ne_eps3_warning
-                warnings.simplefilter("ignore", UserWarning)
-            net = frc.net_force_pressure(stack, omega, numbers, -1.0, np.inf, S)
+        net = frc._net_pressure(stack, omega, numbers, S)
         cols = {
             "omega_ev": omega * HBAR / EV,
             "zcf1": S * imp1.zcf, "tcf1": S * imp1.tcf, "ncf1": S * imp1.ncf,
@@ -446,7 +431,7 @@ def run_force(params):
 
     omega = _omega_grid(params)
     table = _grid_table("force", params, omega, _omega_label, columns,
-                        eps1_ne_eps3_warning=eps_mismatch)
+                        eps1_ne_eps3_warning=mismatch is not None)
     if omega.size > 1:  # read as views of the table, once its column arrays are freed
         for name in ("net_pressure", "net_impulse"):
             key = f"integrated_{name}_N"
@@ -459,8 +444,9 @@ def run_force(params):
 
 def run_sweep(params):
     """Evaluate the single-row base run once, with the swept key set to the
-    array of sweep values: every row is computed in the same array call.
-    A config error about one value names its row."""
+    array of sweep values: every row is computed in the same array call, and
+    the swept values are the table's first column.  A config error about one
+    value names its row."""
     base = params["base"]
     key = params["parameter"]
     base_params = params["base_params"]
@@ -473,18 +459,14 @@ def run_sweep(params):
         raise ConfigError(f"max - min overflows: min = {lo!r}, max = {hi!r}")
     values = _linspace(lo, hi, params, "points")
     try:
-        require(key, values, _DOMAINS[key], ConfigError)
-        sub = _RUNNERS[base]({**base_params, key: values})
+        require(key, values, _KEY_TABLES[base][key][2], ConfigError)
+        table = _RUNNERS[base]({**base_params, key: values})
     except ConfigError as exc:
         if exc.row is None:
             raise
         raise ConfigError(f"row {exc.row} ({key}={values[exc.row]:g}): {exc}") from exc
-    return ResultTable(
-        columns=[key] + sub.columns,
-        units=["-"] + sub.units,
-        data=np.column_stack([values, sub.data]),
-        metadata={**_BASE_METADATA, "command": "sweep", "config": dict(params)},
-    )
+    table.metadata = {**_BASE_METADATA, "command": "sweep", "config": dict(params)}
+    return table
 
 
 _RUNNERS = {

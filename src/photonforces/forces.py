@@ -17,7 +17,7 @@ route
     <F>_w = S * [P(x1) - P(x2)],   P = hbar*w*rho*(<n> + 1/2).
 
 Conventions fixed here (they cancel from every reported ratio):
-  * LDOS rho = n * rho0 with rho0 = 1/(pi*c)  (1D, both directions);
+  * LDOS rho = n * RHO0, RHO0 = 1/(pi*c) (1D, both directions), read per call;
   * layer total photon number = average of the two directional values.
 Under these conventions the measured anti-reflective interface-force
 constant kappa is 1/2 rather than 1; see ar_interface_forces.
@@ -27,7 +27,9 @@ parameters (and the photon numbers computed over them) to evaluate a whole
 grid in one call.  The functions here are spectral (per rad/s); the force
 integrated over a frequency grid is the trapezoid of the CLI force table's
 net_pressure and net_impulse columns, which the `force` command records in
-its JSON metadata.
+its JSON metadata.  The CLI's pressure route is the private core of
+net_force_pressure: no positions (P is uniform in each outer layer), no
+check of S and no warning.
 """
 
 import math
@@ -44,8 +46,8 @@ from .errors import INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, f
 RHO0 = 1.0 / (math.pi * C)
 
 
-def _rho(stack, rho0):
-    return stack.n1 * rho0, stack.n2 * rho0, stack.n3 * rho0
+def _rho(stack):
+    return stack.n1 * RHO0, stack.n2 * RHO0, stack.n3 * RHO0
 
 
 def pressure(rho, n_total, omega):
@@ -68,14 +70,14 @@ class InterfaceImpulses:
         return self.zcf + self.tcf + self.ncf
 
 
-def force_density_decomposition(stack, omega, numbers, rho0=RHO0):
+def force_density_decomposition(stack, omega, numbers):
     """ZCF/TCF/NCF impulses at the two interfaces of the stack.
 
     Jumps are (right - left); rho and <n> at a jump are the two-sided
     arithmetic means, which makes S * sum(impulses) equal the
     pressure-difference net force identically.
     """
-    rho1, rho2, rho3 = _rho(stack, rho0)
+    rho1, rho2, rho3 = _rho(stack)
     n1t, n2t, n3t = numbers.totals
     out = []
     for rho_l, rho_r, n_l, n_r in ((rho1, rho2, n1t, n2t), (rho2, rho3, n2t, n3t)):
@@ -93,7 +95,7 @@ def force_density_decomposition(stack, omega, numbers, rho0=RHO0):
     return tuple(out)
 
 
-def net_force_pressure(stack, omega, numbers, x1, x2, S, rho0=RHO0):
+def net_force_pressure(stack, omega, numbers, x1, x2, S):
     """Net spectral force on the stack from the pressure difference
     S * [P(x1) - P(x2)], with x1 in layer 1 (x < 0) and x2 in layer 3
     (x > d2).  Warns when eps1 != eps3 (zero-point parts no longer cancel)."""
@@ -108,29 +110,32 @@ def net_force_pressure(stack, omega, numbers, x1, x2, S, rho0=RHO0):
             "includes a static Casimir-like offset",
             stacklevel=2,
         )
-    rho1, _, rho3 = _rho(stack, rho0)
+    return _net_pressure(stack, omega, numbers, S)
+
+
+def _net_pressure(stack, omega, numbers, S):
+    """S * [P(x1) - P(x2)], unchecked and silent (see the module docstring)."""
+    rho1, _, rho3 = _rho(stack)
     n1t, _, n3t = numbers.totals
-    p1 = pressure(rho1, n1t, omega)
-    p3 = pressure(rho3, n3t, omega)
-    return S * (p1 - p3)
+    return S * (pressure(rho1, n1t, omega) - pressure(rho3, n3t, omega))
 
 
-def reflector_force(omega, in1, S, rho0=RHO0):
+def reflector_force(omega, in1, S):
     """Spectral force of a beam of occupation in1 on a perfect reflector in
     vacuum: the F0 that normalizes all force ratios."""
     # Perfect reflector: n1- = n1+ = in1 in front, nothing behind; the
     # zero-point terms cancel between the two vacuum half-spaces.
-    return S * HBAR * omega * rho0 * in1
+    return S * HBAR * omega * RHO0 * in1
 
 
-def total_force_beam(stack, omega, in1, S, rho0=RHO0):
+def total_force_beam(stack, omega, in1, S):
     """Force of a beam (occupation in1 from the left, nothing from the right)
     on the stack, and the dimensionless ratio to F0 (see beam_ratio)."""
     if first_row(stack.eps1 != stack.eps3) is not None:
         raise ValueError("total_force_beam requires eps1 == eps3")
     require("in1", in1, POSITIVE)
     ratio = beam_ratio(photon_numbers(stack, omega, in1, 0.0))
-    return ratio * reflector_force(omega, in1, S, rho0), ratio
+    return ratio * reflector_force(omega, in1, S), ratio
 
 
 def beam_ratio(numbers):
@@ -152,7 +157,7 @@ def beam_ratio(numbers):
     return r1_sq
 
 
-def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
+def ar_interface_forces(n, omega, in1, S):
     """Interface forces F1, F2 for a slab of index n with ideal anti-reflective
     coatings, and the measured constant kappa with F1 = kappa*(1-n)*F0.
 
@@ -170,12 +175,12 @@ def ar_interface_forces(n, omega, in1, S, rho0=RHO0):
     require("in1", in1, NONNEGATIVE)
     require("S", S, POSITIVE)
     n_tot = total_photon_number(in1, 0.0)  # same in all three regions
-    rho_vac = rho0
-    rho_slab = n * rho0
+    rho_vac = RHO0
+    rho_slab = n * RHO0
     # Beam part of the interface impulse: -hbar*w * Delta(rho * n_tot).
     f1 = -S * HBAR * omega * (rho_slab - rho_vac) * n_tot
     f2 = -S * HBAR * omega * (rho_vac - rho_slab) * n_tot
-    f0 = reflector_force(omega, in1, S, rho0)
+    f0 = reflector_force(omega, in1, S)
     undefined = (n == 1) | (in1 == 0)  # kappa is 0/0 there
     kappa = f1 / ((1.0 - n) * f0 + undefined)
     if first_row(undefined) is not None:  # the limit 1/2 at n = 1; no beam, no kappa

@@ -178,7 +178,7 @@ _BEAM_FIXED = {"eps1", "eps3", "in3", "t_left_k", "t_right_k"}
 SWEEP_CASES = [
     (name, key)
     for name, (base, _) in SWEEP_BASES.items()
-    for key, (parse, _) in _KEY_TABLES[base].items()
+    for key, (parse, *_) in _KEY_TABLES[base].items()
     if parse is float and not (name == "force-beam" and key in _BEAM_FIXED)
 ]
 

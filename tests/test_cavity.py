@@ -279,6 +279,13 @@ class TestBoseEinstein:
         omega = 1e-9 * KB * T / HBAR
         assert bose_einstein(omega, T) == pytest.approx(KB * T / (HBAR * omega), rel=1e-8)
 
+    def test_occupation_beyond_the_float_range_is_inf_for_a_float_and_an_array(self):
+        # hbar*omega underflows to 0 at 300 K, so kB*T/(hbar*omega) is beyond the range
+        with pytest.warns(RuntimeWarning):
+            assert bose_einstein(1e-300, 300.0) == math.inf
+        with pytest.warns(RuntimeWarning):
+            assert bose_einstein(np.array([1e-300, 1.0]), 300.0)[0] == math.inf
+
 
 class TestLayerStackValidation:
     def test_rejects_eps_below_one(self):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from photonforces import cli
+from photonforces import cli, forces
 from photonforces.cli import (
     _KEY_TABLES,
     load_config,
@@ -96,6 +96,13 @@ class TestConfigParsing:
     def test_rejects_bad_value(self, config_path):
         with pytest.raises(ConfigError, match="bad value"):
             load_config(config_path, "polariton", ["mass_kg=heavy"])
+
+    def test_each_key_has_one_domain_in_every_section(self):
+        domains = {}
+        for table in _KEY_TABLES.values():
+            for key, (parse, _, domain) in table.items():
+                assert domains.setdefault(key, domain) == domain, key
+                assert (domain is None) == (parse is str), key
 
     def test_rejects_missing_section(self, tmp_path):
         path = tmp_path / "empty.ini"
@@ -320,6 +327,23 @@ class TestForceCommand:
         with pytest.raises(ConfigError, match="zero right-side input"):
             run_force(load_config(config_path, "force", ["t_right_k=300"]))
 
+    def test_eps_mismatch_run_leaves_the_warning_filters_alone(self, config_path,
+                                                               monkeypatch):
+        # swapping the process-wide filter list, even inside catch_warnings,
+        # races with concurrent runs and can leave a filter behind for good
+        pressure, seen = forces.pressure, []
+
+        def recording(*args):
+            seen.append(list(warnings.filters))
+            return pressure(*args)
+
+        monkeypatch.setattr(forces, "pressure", recording)
+        before = list(warnings.filters)
+        assert main(["force", "--config", config_path, "--out", os.devnull, "mode=thermal",
+                     "eps3=2.25", "in1=", "t_left_k=300", "t_right_k=0"]) == 0
+        assert seen
+        assert all(filters == before for filters in seen)
+
     def test_eps_mismatch_warning_is_suppressed(self, config_path):
         params = load_config(
             config_path, "force",
@@ -490,6 +514,19 @@ class TestSweepCommand:
             "error: feasibility: row 2 (mass_kg=1e-40): dipole mass 2.22833e-36 kg "
             "exceeds block mass 1e-40 kg\n"
         )
+
+    @pytest.mark.parametrize("key, lo, hi, message", [
+        ("in1", 0, 1, "row 0 (in1=0): beam mode requires a positive in1 beam occupation"),
+        ("in3", 0, 1,
+         "row 1 (in3=0.5): beam mode requires zero right-side input (in3 or t_right_k)"),
+        ("eps3", 1, 2, "row 1 (eps3=1.5): beam mode requires eps1 == eps3"),
+    ])
+    def test_mode_rule_error_names_sweep_point(self, config_path, capsys, key, lo, hi,
+                                               message):
+        code = main(["sweep", "--config", config_path, "base=force", f"parameter={key}",
+                     f"min={lo}", f"max={hi}", "points=3"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
 
     def test_guard_error_names_sweep_point(self, config_path, capsys):
         # as in TestGridErrors: eps2 = 1e32 and the last d2 puts the 1 eV
@@ -679,6 +716,9 @@ class TestMainEntry:
         # kB*T / (hbar*omega) beyond the float range
         (["cavity", "in1=", "t_left_k=1e300", "omega_min_ev=1e-300"],
          "row 0 (omega=9.99987e-301 eV): in1 from t_left_k must be finite and >= 0, got inf"),
+        # the same on a one-point grid, where the occupation is a Python float
+        (["cavity", "in1=", "t_left_k=1e300", "omega_min_ev=1e-300", "omega_points=1"],
+         "row 0 (omega=9.99987e-301 eV): in1 from t_left_k must be finite and >= 0, got inf"),
     ])
     def test_nonfinite_output_is_a_guard_error(self, config_path, capsys, argv, message):
         assert main([argv[0], "--config", config_path, *argv[1:]]) == 4
@@ -797,7 +837,7 @@ _ROW_KEYS = ("n_points", "omega_points", "points")
 
 
 def _numeric_keys(section):
-    return [key for key, (parse, _) in _KEY_TABLES[section].items() if parse in (int, float)]
+    return [key for key, (parse, *_) in _KEY_TABLES[section].items() if parse in (int, float)]
 
 
 def _names_a_key(message, keys):
@@ -820,7 +860,7 @@ def _runs(draw):
         rows_key = "n_points" if base == "polariton" else "omega_points"
         over.update({"base": base, f"{base}.{rows_key}": "1"})
         over["parameter"] = draw(st.sampled_from(
-            [k for k, (parse, _) in _KEY_TABLES[base].items() if parse is float]))
+            [k for k, (parse, *_) in _KEY_TABLES[base].items() if parse is float]))
         if base == "force":
             over["force.mode"] = draw(st.sampled_from(["beam", "thermal", "ar"]))
     for section in sections:
