@@ -4,7 +4,7 @@ evaluates the columns and assembles the table but does not serialize it),
 at 1 and 5000 rows.  A one-row case passes omega as a Python float, as the
 CLI does for a one-point grid.
 
-    PYTHONPATH=src python -m pytest benchmarks/test_cavity_forces.py \
+    python -m pytest benchmarks/test_cavity_forces.py \
         --benchmark-json=BENCH_<n>.json
 
 Not part of the tier-1 suite (`testpaths = ["tests"]`): timings on a small

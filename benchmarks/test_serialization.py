@@ -10,7 +10,7 @@ Each records in `extra_info` the tracemalloc peak of one call, in MB above
 the heap before it, after a full collection; the writer case records the
 peak of the text-then-write path beside its own.
 
-    PYTHONPATH=src python -m pytest benchmarks/test_serialization.py \
+    python -m pytest benchmarks/test_serialization.py \
         --benchmark-json=BENCH_<n>.json
 
 Not part of the tier-1 suite (`testpaths = ["tests"]`): timings on a small

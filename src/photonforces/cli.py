@@ -12,7 +12,9 @@ in rad/s and each sweep value is checked against its key's domain (the
 third field of the key's row in `_KEY_TABLES`), and so is the config
 embedded in a JSON result that is rerun; a row count that cannot be
 allocated and a sweep range whose max - min overflows are config errors
-too.  Exit codes: 2 config error, 3 physics infeasibility, 4
+too.  A required key is missing only from a run that reads it (`_READ_AT`
+says which keys a mode or convention reads), and only once every given
+value has passed.  Exit codes: 2 config error, 3 physics infeasibility, 4
 numerical-guard trip (a non-finite output included); any other exception
 is an internal error and exits 1 with a traceback.  A stdout whose reader
 closes early ends the run with exit 0 and no message.
@@ -60,7 +62,8 @@ _BASE_METADATA = {
 
 # Per-command key tables: name -> (parser, default, domain); REQUIRED means
 # no default.  A numeric key has the same domain in every table, and a string
-# key none; mode rules stay in run_force.
+# key none; which keys a run reads is in _READ_AT, and the rules that name a
+# sweep point stay in run_force.
 _REQUIRED = object()
 
 _POLARITON_KEYS = {
@@ -71,7 +74,7 @@ _POLARITON_KEYS = {
     "mass_kg": (float, 1.0, POSITIVE),
     "length_m": (float, 1.0, POSITIVE),
     "convention": (str, "minkowski", None),
-    "momentum_kgms": (float, None, NONNEGATIVE),
+    "momentum_kgms": (float, _REQUIRED, NONNEGATIVE),
 }
 
 _STACK_KEYS = {
@@ -93,11 +96,9 @@ _CAVITY_KEYS = {**_STACK_KEYS, **_GRID_KEYS, **_INPUT_KEYS}
 
 _FORCE_KEYS = {
     "mode": (str, "beam", None),
-    "n_index": (float, None, INDEX),
+    "n_index": (float, _REQUIRED, INDEX),
     "area_m2": (float, 1.0, POSITIVE),
     **_STACK_KEYS,
-    "eps2": (float, None, INDEX),  # the AR mode needs no stack
-    "d2_m": (float, None, POSITIVE),
     **_GRID_KEYS,
     **_INPUT_KEYS,
 }
@@ -117,10 +118,42 @@ _KEY_TABLES = {
     "sweep": _SWEEP_KEYS,
 }
 
+# The keys that a run reads only at some values of its section's switch:
+# section -> (switch key, {key: the switch values at which it is read}).  A
+# single-row sweep base reads no grid maximum, and no column depends on length_m.
+_READ_AT = {
+    "polariton": ("convention", {"momentum_kgms": ("general",)}),
+    "force": ("mode", {
+        "n_index": ("ar",),
+        **dict.fromkeys(["eps1", "eps2", "eps3", "d2_m", "in3", "t_left_k", "t_right_k"],
+                        ("beam", "thermal")),
+    }),
+}
+_SINGLE_ROW_UNREAD = ("length_m", "n_max", "omega_max_ev")
 
-def _parse_section(raw, command):
+
+def _reads(section, params, key):
+    """Whether a run of `section` with the parsed `params` reads `key`."""
+    switch, read_at = _READ_AT.get(section, (None, {}))
+    if key not in read_at:
+        return True
+    value = params[switch]  # run_force compares mode as given, _convention in lower case
+    return (value if switch == "mode" else value.lower()) in read_at[key]
+
+
+def _sweepable(base, base_params):
+    """The float keys that a single-row `base` run with `base_params` reads: a
+    sweep over any other key would repeat one row."""
+    return [key for key, (parse, *_) in _KEY_TABLES[base].items()
+            if parse is float and key not in _SINGLE_ROW_UNREAD
+            and _reads(base, base_params, key)]
+
+
+def _parse_section(raw, command, swept=None):
     """Validate a raw {key: str-or-value} mapping against the command's key
-    table; returns the resolved parameter dict."""
+    table; returns the resolved parameter dict.  Every given value is checked
+    before any required key that the run reads is found missing; a sweep's
+    `swept` key is given by the sweep."""
     table = _KEY_TABLES[command]
     unknown = set(raw) - set(table)
     if unknown:
@@ -134,10 +167,12 @@ def _parse_section(raw, command):
                 raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
             if domain is not None:
                 require(key, params[key], domain, ConfigError)
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required key for {command}: {key}")
-        elif default is not None:
+        elif default is not None and default is not _REQUIRED:
             params[key] = default
+    for key, (_, default, _) in table.items():
+        if (default is _REQUIRED and key not in params and key != swept
+                and _reads(command, params, key)):
+            raise ConfigError(f"missing required key for {command}: {key}")
     return params
 
 
@@ -188,39 +223,14 @@ def _resolve(command, sections):
             raise ConfigError(f"sweep base must be a non-sweep command, got {base!r}")
         if not isinstance(sections.get(base), dict):
             raise ConfigError(f"sweep base [{base}] section missing")
-        params["base_params"] = _parse_section(sections[base], base)
-        sweepable = [key for key, (parse, *_) in _KEY_TABLES[base].items() if parse is float]
+        params["base_params"] = _parse_section(sections[base], base, params["parameter"])
+        sweepable = _sweepable(base, params["base_params"])
         if params["parameter"] not in sweepable:
             raise ConfigError(
-                f"sweep parameter {params['parameter']!r} is unknown or not a float key "
-                f"of {base}; sweepable keys: {', '.join(sweepable)}"
-            )
-        reason = _unread_reason(params["base_params"], params["parameter"])
-        if reason:
-            raise ConfigError(
-                f"sweep parameter {params['parameter']!r} is never read by the {base} "
-                f"base: {reason}"
+                f"sweep parameter {params['parameter']!r} is not a float key that this "
+                f"{base} base reads; sweepable keys: {', '.join(sweepable)}"
             )
     return params
-
-
-_AR_UNREAD = ("eps1", "eps2", "eps3", "d2_m", "in3", "t_left_k", "t_right_k")
-
-
-def _unread_reason(base_params, key):
-    """Why the single-row base run never reads `key`, or None if it does: a
-    sweep over such a key would be a table of equal rows."""
-    if key == "length_m":
-        return "no polariton column depends on the block length"
-    if key in ("n_max", "omega_max_ev"):
-        return "a sweep base is single-row, so it reads only the grid minimum"
-    if key == "momentum_kgms" and base_params["convention"].lower() != "general":
-        return "it is read only when convention = general"
-    if key == "n_index" and base_params["mode"] != "ar":
-        return "it is read only when mode = ar"
-    if key in _AR_UNREAD and base_params.get("mode") == "ar":
-        return "mode = ar reads no stack, in3 or temperature key"
-    return None
 
 
 _FORCE_COLUMNS = ("zcf1", "tcf1", "ncf1", "zcf2", "tcf2", "ncf2", "net_pressure",
@@ -251,8 +261,6 @@ def _grid_table(command, params, grid, label, columns, **metadata):
             i, j = np.argwhere(~np.isfinite(data.T))[0]
             raise NumericalGuardError(f"non-finite value {float(data[j, i])!r} in column "
                                       f"{list(cols)[j]!r}", row=int(i))
-    except ZeroDivisionError as exc:  # Python floats raise where numpy gives inf, in every row
-        raise NumericalGuardError(f"row 0 ({label(axis[0])}): {exc}") from exc
     except (FeasibilityError, NumericalGuardError) as exc:
         if exc.row is None:
             raise
@@ -272,8 +280,6 @@ def _convention(params):
     if name == "minkowski":
         return kin.MINKOWSKI
     if name == "general":
-        if "momentum_kgms" not in params:
-            raise ConfigError("general convention requires momentum_kgms")
         return kin.general(params["momentum_kgms"])
     raise ConfigError(f"unknown convention {params['convention']!r}")
 
@@ -289,7 +295,8 @@ def run_polariton(params):
     conv = _convention(params)
     photon = kin.PhotonInput(omega=_omega(params, "energy_ev"))
     hw = photon.energy
-    hk0 = HBAR * photon.k0
+    # hbar*k0 and v_before can underflow to 0: divide by them as numpy does, in every row
+    hk0 = np.float64(HBAR * photon.k0)
     grid = _linspace(params["n_min"], params["n_max"], params, "n_points")
 
     def columns(n):
@@ -301,7 +308,7 @@ def run_polariton(params):
             "Ed_over_hw": sol.E_d / hw, "p_over_hk0": sol.p / hk0,
             "pf_over_hk0": sol.p_f / hk0, "pd_over_hk0": sol.p_d / hk0,
             "dmc2_over_hw": sol.delta_m * kin.C**2 / hw, "V_r": sol.V_r,
-            "cev_residual": (v_after - v_before) / v_before,
+            "cev_residual": np.divide(v_after - v_before, v_before),
         }
 
     return _grid_table("polariton", params, grid, "n={:g}".format, columns)
@@ -353,15 +360,8 @@ def _inputs(params, omega):
     return out
 
 
-def _stack(params):
-    for key in ("eps2", "d2_m"):
-        if params.get(key) is None:
-            raise ConfigError(f"missing required key: {key}")
-    return cav.LayerStack(params["eps1"], params["eps2"], params["eps3"], params["d2_m"])
-
-
 def run_cavity(params):
-    stack = _stack(params)
+    stack = cav.LayerStack(params["eps1"], params["eps2"], params["eps3"], params["d2_m"])
 
     def columns(omega):
         in1, in3 = _inputs(params, omega)
@@ -376,12 +376,9 @@ def run_cavity(params):
 
 
 def _run_force_ar(params):
-    n = params.get("n_index")
-    if n is None:
-        raise ConfigError("ar mode requires n_index")
-
     def columns(omega):
-        f1, f2, kappa = frc.ar_interface_forces(n, omega, params["in1"], params["area_m2"])
+        f1, f2, kappa = frc.ar_interface_forces(params["n_index"], omega, params["in1"],
+                                                params["area_m2"])
         return {"omega_ev": omega * HBAR / EV, "F1": f1, "F2": f2, "F1_plus_F2": f1 + f2,
                 "kappa": kappa}
 
@@ -404,7 +401,7 @@ def run_force(params):
         raise ConfigError(f"{mode} mode requires a positive in1 beam occupation", row=row)
     if mode == "ar":
         return _run_force_ar(params)
-    stack = _stack(params)
+    stack = cav.LayerStack(params["eps1"], params["eps2"], params["eps3"], params["d2_m"])
     S = params["area_m2"]
     mismatch = first_row(stack.eps1 != stack.eps3)
     if mode == "beam" and mismatch is not None:

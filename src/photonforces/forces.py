@@ -168,7 +168,8 @@ def ar_interface_forces(n, omega, in1, S):
     zero-point impulses form a static background that cancels between the
     two interfaces and is excluded from the beam force.  Under this
     module's LDOS and averaging conventions kappa = 1/2, which is also its
-    value at n = 1 (the limit of F1 = 0); it is NaN only where in1 = 0.
+    value at n = 1 (the limit of F1 = 0); it is NaN where in1 = 0, or
+    where F0 underflows to 0.
     """
     require("n", n, INDEX)
     require("omega", omega, POSITIVE)
@@ -182,7 +183,8 @@ def ar_interface_forces(n, omega, in1, S):
     f2 = -S * HBAR * omega * (rho_vac - rho_slab) * n_tot
     f0 = reflector_force(omega, in1, S)
     undefined = (n == 1) | (in1 == 0)  # kappa is 0/0 there
-    kappa = f1 / ((1.0 - n) * f0 + undefined)
+    # np.divide, so that an underflowed F0 gives nan for a float too, not ZeroDivisionError
+    kappa = np.divide(f1, (1.0 - n) * f0 + undefined)
     if first_row(undefined) is not None:  # the limit 1/2 at n = 1; no beam, no kappa
         kappa = np.where(in1 == 0, np.nan, np.where(n == 1, 0.5, kappa))[()]
     return f1, f2, kappa

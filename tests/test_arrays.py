@@ -9,6 +9,7 @@ photon numbers, 4*S*hbar*omega*rho0*(max occupation + 1) for forces
 
 import json
 import math
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -38,7 +39,7 @@ from photonforces import (
     solve_transmission,
     total_force_beam,
 )
-from photonforces.cli import _KEY_TABLES, rerun_from_json, run_command, run_sweep
+from photonforces.cli import _KEY_TABLES, _sweepable, rerun_from_json, run_command, run_sweep
 from photonforces.constants import C, EV, HBAR
 from photonforces.errors import INDEX, NONNEGATIVE, POSITIVE, ConfigError, require
 from photonforces import table as table_module
@@ -210,6 +211,32 @@ def test_sweep_equals_per_point_runner_calls(name, key):
         for j, unit in enumerate(units):
             scale = max(np.abs(want[:, units == unit]).max(), 1.0 if unit == "-" else 0.0)
             assert_elementwise(table.data[:, j + 1], want[:, j], scale)
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key)
+    for name, (base, _) in SWEEP_BASES.items()
+    for key, (parse, *_) in _KEY_TABLES[base].items()
+    if parse is float
+])
+def test_sweepable_keys_are_the_keys_the_base_reads(name, key):
+    # a sweepable key changes some output column between the ends of its
+    # range; any other float key changes none
+    params = _sweep_params(name, key, 2)
+    base, base_params = params["base"], params["base_params"]
+    if key in _sweepable(base, base_params):
+        try:
+            data = run_sweep(params).data
+        except ConfigError as exc:  # a beam rule on eps1, eps3 or the right input
+            if not (name == "force-beam" and key in _BEAM_FIXED):
+                raise
+            assert re.fullmatch(rf"row \d \({key}=\S+\): beam mode requires .*", str(exc))
+            return
+        assert (data[0, 1:] != data[1, 1:]).any()
+    else:
+        ends = [run_command(base, {**base_params, key: value}).data
+                for value in SWEEP_RANGES[key]]
+        assert np.array_equal(*ends)
 
 
 @pytest.mark.parametrize("name, key", [

@@ -153,6 +153,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing required"):
             run_force(load_config(str(path), "force"))
 
+    # mode is compared as given and convention in any case, as the runners do
+    @pytest.mark.parametrize("argv, code, err", [
+        (["polariton", "convention=General"], 2,
+         "error: config: missing required key for polariton: momentum_kgms\n"),
+        (["polariton", "convention=General", "momentum_kgms=5e-28"], 0, ""),
+        (["force", "mode=ar"], 2, "error: config: missing required key for force: n_index\n"),
+        (["force", "mode=AR"], 2, "error: config: unknown force mode 'AR'\n"),
+        (["force", "mode=ar", "n_index=2", "eps2=", "d2_m="], 0, ""),
+        (["force", "mode=thermal", "d2_m="], 2,
+         "error: config: missing required key for force: d2_m\n"),
+    ])
+    def test_required_key_is_missing_only_from_a_run_that_reads_it(self, config_path, capsys,
+                                                                   argv, code, err):
+        assert main([argv[0], "--config", config_path, "--out", os.devnull, *argv[1:]]) == code
+        assert capsys.readouterr().err == err
+
 
 class TestPolaritonCommand:
     def test_minkowski_curves(self, config_path):
@@ -458,7 +474,8 @@ class TestSweepCommand:
             )
 
     def test_rejects_unknown_parameter(self, config_path):
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ConfigError, match="^sweep parameter 'bogus' is not a float key "
+                                              "that this force base reads; sweepable keys: "):
             load_config(config_path, "sweep", ["parameter=bogus"])
 
     @pytest.mark.parametrize("base, key, listed", [
@@ -466,11 +483,14 @@ class TestSweepCommand:
         ("polariton", "convention", "momentum_kgms"), ("polariton", "n_points", "n_min"),
     ])
     def test_rejects_non_float_parameter(self, config_path, base, key, listed):
+        # a polariton base reads momentum_kgms under the general convention only
+        general = ["polariton.convention=general", "polariton.momentum_kgms=5e-28"]
         with pytest.raises(ConfigError) as info:
             load_config(config_path, "sweep", [f"base={base}", f"parameter={key}",
-                                               "min=1", "max=1.9", "points=3"])
+                                               "min=1", "max=1.9", "points=3",
+                                               *(general if base == "polariton" else [])])
         head, keys = str(info.value).split("; sweepable keys: ")
-        assert head == f"sweep parameter {key!r} is unknown or not a float key of {base}"
+        assert head == f"sweep parameter {key!r} is not a float key that this {base} base reads"
         assert listed in keys.split(", ")
         assert key not in keys.split(", ")
 
@@ -488,13 +508,35 @@ class TestSweepCommand:
     ])
     def test_rejects_parameter_the_base_never_reads(self, config_path, capsys, base, key,
                                                     extra, reason):
+        # `reason` says why the base never reads `key`; the message lists the
+        # float keys that the single-row base of CONFIG reads
+        sweepable = {
+            "polariton": "energy_ev, n_min, mass_kg",
+            "cavity": "eps1, eps2, eps3, d2_m, omega_min_ev, in1, in3, t_left_k, t_right_k",
+            "force": "area_m2, eps1, eps2, eps3, d2_m, omega_min_ev, in1, in3, t_left_k, "
+                     "t_right_k",
+            "force-ar": "n_index, area_m2, omega_min_ev, in1",
+        }[base + ("-ar" if "force.mode=ar" in extra else "")]
         code = main(["sweep", "--config", config_path, f"base={base}", f"parameter={key}",
                      "min=1", "max=1.9", "points=3", *extra])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: config: sweep parameter {key!r} is never read by the {base} base: "
-            f"{reason}\n"
+            f"error: config: sweep parameter {key!r} is not a float key that this {base} "
+            f"base reads; sweepable keys: {sweepable}\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["force.mode=ar", "parameter=n_index", "min=1.1", "max=4"],
+        ["base=cavity", "cavity.omega_points=1", "cavity.eps2=", "parameter=eps2", "min=2",
+         "max=4"],
+        ["base=polariton", "polariton.n_points=1", "polariton.convention=general",
+         "parameter=momentum_kgms", "min=1e-28", "max=2e-28"],
+    ])
+    def test_swept_required_key_need_not_be_in_the_base(self, config_path, capsys, argv):
+        assert main(["sweep", "--config", config_path, "--format", "json", "points=3",
+                     *argv]) == 0
+        text = capsys.readouterr().out
+        assert rerun_from_json(text).to_json() == text
 
     def test_accepts_momentum_under_general_convention(self, config_path):
         table = run_sweep(load_config(config_path, "sweep", [
@@ -672,6 +714,8 @@ class TestMainEntry:
           "min=5e-324", "max=1", "points=2"],
          "row 0 (omega_min_ev=4.94066e-324): omega_min_ev in rad/s must be positive and "
          "finite, got 0.0"),
+        # a bad value is reported before a required key (here n_index) is found missing
+        (["force", "mode=ar", "area_m2=nan"], "area_m2 must be positive and finite, got nan"),
     ])
     def test_value_outside_its_domain_names_the_key(self, config_path, capsys, argv,
                                                     message):
@@ -710,15 +754,18 @@ class TestMainEntry:
          "row 0 (omega=1 eV): non-finite value -inf in column 'tcf1'"),
         (["polariton", "energy_ev=1e-300"],
          "row 0 (n=1): non-finite value nan in column 'p_over_hk0'"),
-        # a one-point grid runs on Python floats, where the same hbar*k0 = 0
-        # raises instead of giving nan
-        (["polariton", "energy_ev=1e-300", "n_points=1"], "row 0 (n=1): float division by zero"),
+        # the same on a one-point grid, which runs on Python floats
+        (["polariton", "energy_ev=1e-300", "n_points=1"],
+         "row 0 (n=1): non-finite value nan in column 'p_over_hk0'"),
         # kB*T / (hbar*omega) beyond the float range
         (["cavity", "in1=", "t_left_k=1e300", "omega_min_ev=1e-300"],
          "row 0 (omega=9.99987e-301 eV): in1 from t_left_k must be finite and >= 0, got inf"),
         # the same on a one-point grid, where the occupation is a Python float
         (["cavity", "in1=", "t_left_k=1e300", "omega_min_ev=1e-300", "omega_points=1"],
          "row 0 (omega=9.99987e-301 eV): in1 from t_left_k must be finite and >= 0, got inf"),
+        # F0 underflows to 0 in the kappa division, on a one-point grid
+        (["force", "mode=ar", "n_index=2", "in1=1", "omega_min_ev=1e-300"],
+         "row 0 (omega=9.99987e-301 eV): non-finite value nan in column 'kappa'"),
     ])
     def test_nonfinite_output_is_a_guard_error(self, config_path, capsys, argv, message):
         assert main([argv[0], "--config", config_path, *argv[1:]]) == 4
@@ -834,6 +881,9 @@ _EDGES = (*_NEVER_VALID, "-1.0", "0.0", "5e-324", "1e-300", "1e300", "1.79769313
 _PLAIN = ("0.5", "1.0", "2.0", "3.0", "1e-6", "")  # "" unsets the file's entry
 _ROWS = ("-1", "0", "1", "2", "3", "1.5", "nan")
 _ROW_KEYS = ("n_points", "omega_points", "points")
+# each section's switch and its values ("" unsets it)
+_SWITCHES = {"polariton": ("convention", ("minkowski", "abraham", "general", "")),
+             "force": ("mode", ("beam", "thermal", "ar"))}
 
 
 def _numeric_keys(section):
@@ -846,14 +896,13 @@ def _names_a_key(message, keys):
 
 @st.composite
 def _runs(draw):
-    """A command and key=value overrides on the test CONFIG: 1-5 numeric
-    keys of the command's section (and of a sweep's base), each set to an
-    edge value, a plain one or nothing, with at most 3 rows per axis."""
+    """A command and key=value overrides on the test CONFIG: the switch of
+    the command's section (and of a sweep's base), if it has one, and 1-5 of
+    its numeric keys, each set to an edge value, a plain one or nothing, with
+    at most 3 rows per axis."""
     command = draw(st.sampled_from(["polariton", "cavity", "force", "sweep"]))
     sections = [command]
     over = {}
-    if command == "force":
-        over["mode"] = draw(st.sampled_from(["beam", "thermal", "ar"]))
     if command == "sweep":
         base = draw(st.sampled_from(["polariton", "cavity", "force"]))
         sections.append(base)
@@ -861,10 +910,11 @@ def _runs(draw):
         over.update({"base": base, f"{base}.{rows_key}": "1"})
         over["parameter"] = draw(st.sampled_from(
             [k for k, (parse, *_) in _KEY_TABLES[base].items() if parse is float]))
-        if base == "force":
-            over["force.mode"] = draw(st.sampled_from(["beam", "thermal", "ar"]))
     for section in sections:
         prefix = "" if section == command else f"{section}."
+        if section in _SWITCHES:
+            switch, values = _SWITCHES[section]
+            over[prefix + switch] = draw(st.sampled_from(values))
         for key in draw(st.lists(st.sampled_from(_numeric_keys(section)), min_size=1,
                                  max_size=5, unique=True)):
             pool = _ROWS if key in _ROW_KEYS else _EDGES + _PLAIN
