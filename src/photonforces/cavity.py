@@ -23,7 +23,7 @@ whole grid.  The Fresnel coefficients are computed once per stack.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, f
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class LayerStack:
     """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m),
     each a scalar or an array.  `interfaces` holds the Fresnel coefficients
@@ -41,24 +40,19 @@ class LayerStack:
     1 / (1 - r1^2 r2^2) of the intracavity photon numbers; both are computed
     once per stack."""
 
-    eps1: float
-    eps2: float
-    eps3: float
-    d2: float
-    interfaces: tuple = field(init=False, repr=False, compare=False)
-    intracavity: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("eps1", "eps2", "eps3", "d2", "interfaces", "intracavity")
 
-    def __post_init__(self):
+    def __init__(self, eps1, eps2, eps3, d2):
+        self.eps1, self.eps2, self.eps3, self.d2 = eps1, eps2, eps3, d2
         for name in ("eps1", "eps2", "eps3", "d2"):
             require(name, getattr(self, name), POSITIVE if name == "d2" else INDEX)
         n1, n2, n3 = self.n1, self.n2, self.n3
-        interfaces = fresnel(n1, n2), fresnel(n2, n3)
-        object.__setattr__(self, "interfaces", interfaces)
+        self.interfaces = fresnel(n1, n2), fresnel(n2, n3)
         # 1 - r1^2 r2^2 = (1 - r1 r2)(1 + r1 r2), each factor expanded over
         # the indices so that strong mirrors (r1 r2 -> -1) lose no digits
         outer = (n1 + n2) * (n2 + n3)
         gap = 4.0 * n2 * (n1 * n3 + n2 * n2) * (n1 + n3)
-        object.__setattr__(self, "intracavity", outer * outer / gap)
+        self.intracavity = outer * outer / gap
 
     @property
     def n1(self):
@@ -77,8 +71,7 @@ class LayerStack:
         return self.n2 * omega / C
 
 
-@dataclass(frozen=True)
-class InterfaceCoefficients:
+class InterfaceCoefficients(NamedTuple):
     """Single-interface amplitudes: left incidence (r, t), right (r_p, t_p)."""
 
     r: float
@@ -96,8 +89,7 @@ def fresnel(n_a, n_b):
     return InterfaceCoefficients(r=r, t=2.0 * n_a / s, r_p=-r, t_p=2.0 * n_b / s)
 
 
-@dataclass(frozen=True)
-class CompositeCoefficients:
+class CompositeCoefficients(NamedTuple):
     """Composite amplitudes of the three-layer stack over omega; T2 is the
     real single-interface value."""
 
@@ -141,8 +133,7 @@ def composite(stack, omega):
     return CompositeCoefficients(nu2=nu2, R1=(i1.r + i2.r * e) * nu2, T1=i1.t * nu2, T2=i2.t)
 
 
-@dataclass(frozen=True)
-class DirectionalPhotonNumbers:
+class DirectionalPhotonNumbers(NamedTuple):
     """A stack's photon-number record over omega: the six directional values,
     R1_sq = |R1|^2, T_sq = (n3/n1)|T1 T2|^2 and the layer totals <n1..3>."""
 

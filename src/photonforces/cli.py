@@ -12,11 +12,12 @@ in rad/s and each sweep value is checked against its key's domain (the
 third field of the key's row in `_KEY_TABLES`), and so is the config
 embedded in a JSON result that is rerun; a row count that cannot be
 allocated and a sweep range whose max - min overflows are config errors
-too.  A required key is missing only from a run that reads it (`_READ_AT`
-says which keys a mode or convention reads), and only once every given
-value has passed.  Exit codes: 2 config error, 3 physics infeasibility, 4
-numerical-guard trip (a non-finite output included); any other exception
-is an internal error and exits 1 with a traceback.  A stdout whose reader
+too.  A mode or convention must be one of its values (`_READ_AT` lists
+them, with the keys that each reads); a required key is missing only from a
+run that reads it, and only once every given value has passed.  Exit codes:
+2 config error, 3 physics infeasibility, 4 numerical-guard trip (a
+non-finite output included); any other exception is an internal error and
+exits 1 with a traceback.  A stdout whose reader
 closes early ends the run with exit 0 and no message.
 
 Each grid is evaluated as whole numpy columns in one pass; a sweep is one
@@ -62,8 +63,8 @@ _BASE_METADATA = {
 
 # Per-command key tables: name -> (parser, default, domain); REQUIRED means
 # no default.  A numeric key has the same domain in every table, and a string
-# key none; which keys a run reads is in _READ_AT, and the rules that name a
-# sweep point stay in run_force.
+# key none; a switch's values and which keys a run reads are in _READ_AT, and
+# the rules that name a sweep point stay in run_force.
 _REQUIRED = object()
 
 _POLARITON_KEYS = {
@@ -118,12 +119,14 @@ _KEY_TABLES = {
     "sweep": _SWEEP_KEYS,
 }
 
-# The keys that a run reads only at some values of its section's switch:
-# section -> (switch key, {key: the switch values at which it is read}).  A
-# single-row sweep base reads no grid maximum, and no column depends on length_m.
+# A section's switch, its values, and the keys that a run reads only at some
+# of them: section -> (switch key, values, {key: the values at which it is
+# read}).  A single-row sweep base reads no grid maximum, and no column
+# depends on length_m.
 _READ_AT = {
-    "polariton": ("convention", {"momentum_kgms": ("general",)}),
-    "force": ("mode", {
+    "polariton": ("convention", ("abraham", "minkowski", "general"),
+                  {"momentum_kgms": ("general",)}),
+    "force": ("mode", ("beam", "thermal", "ar"), {
         "n_index": ("ar",),
         **dict.fromkeys(["eps1", "eps2", "eps3", "d2_m", "in3", "t_left_k", "t_right_k"],
                         ("beam", "thermal")),
@@ -132,13 +135,17 @@ _READ_AT = {
 _SINGLE_ROW_UNREAD = ("length_m", "n_max", "omega_max_ev")
 
 
+def _switch(section, params):
+    """The section's switch value as the runners compare it: mode as given,
+    convention in lower case."""
+    key = _READ_AT[section][0]
+    return params[key] if key == "mode" else params[key].lower()
+
+
 def _reads(section, params, key):
     """Whether a run of `section` with the parsed `params` reads `key`."""
-    switch, read_at = _READ_AT.get(section, (None, {}))
-    if key not in read_at:
-        return True
-    value = params[switch]  # run_force compares mode as given, _convention in lower case
-    return (value if switch == "mode" else value.lower()) in read_at[key]
+    _, _, read_at = _READ_AT.get(section, (None, (), {}))
+    return key not in read_at or _switch(section, params) in read_at[key]
 
 
 def _sweepable(base, base_params):
@@ -151,9 +158,9 @@ def _sweepable(base, base_params):
 
 def _parse_section(raw, command, swept=None):
     """Validate a raw {key: str-or-value} mapping against the command's key
-    table; returns the resolved parameter dict.  Every given value is checked
-    before any required key that the run reads is found missing; a sweep's
-    `swept` key is given by the sweep."""
+    table; returns the resolved parameter dict.  Every given value, the
+    switch's too, is checked before any required key that the run reads is
+    found missing; a sweep's `swept` key is given by the sweep."""
     table = _KEY_TABLES[command]
     unknown = set(raw) - set(table)
     if unknown:
@@ -169,6 +176,10 @@ def _parse_section(raw, command, swept=None):
                 require(key, params[key], domain, ConfigError)
         elif default is not None and default is not _REQUIRED:
             params[key] = default
+    switch, values, _ = _READ_AT.get(command, (None, (), {}))
+    if switch and _switch(command, params) not in values:
+        name = "force mode" if switch == "mode" else switch
+        raise ConfigError(f"unknown {name} {params[switch]!r}")
     for key, (_, default, _) in table.items():
         if (default is _REQUIRED and key not in params and key != swept
                 and _reads(command, params, key)):
@@ -274,14 +285,10 @@ def _grid_table(command, params, grid, label, columns, **metadata):
 
 
 def _convention(params):
-    name = params["convention"].lower()
-    if name == "abraham":
-        return kin.ABRAHAM
-    if name == "minkowski":
-        return kin.MINKOWSKI
+    name = _switch("polariton", params)
     if name == "general":
         return kin.general(params["momentum_kgms"])
-    raise ConfigError(f"unknown convention {params['convention']!r}")
+    return kin.ABRAHAM if name == "abraham" else kin.MINKOWSKI
 
 
 def _omega(params, key):
@@ -326,13 +333,15 @@ def _linspace(lo, hi, params, key):
                           f"allocated") from exc
 
 
-def _omega_grid(params):
+def _omega_grid(params, section):
+    """The omega grid (rad/s) of a `section` run; more than one point reads
+    omega_max_ev."""
     w_min = _omega(params, "omega_min_ev")
     points = params["omega_points"]
     if points == 1:
         return np.array(w_min, ndmin=1)
     if params.get("omega_max_ev") is None:
-        raise ConfigError("omega_max_ev required when omega_points > 1")
+        raise ConfigError(f"missing required key for {section}: omega_max_ev")
     w_max = _omega(params, "omega_max_ev")
     if w_max <= w_min:
         raise ConfigError("omega_max_ev must exceed omega_min_ev")
@@ -372,7 +381,7 @@ def run_cavity(params):
             "T1T2_sq_weighted": pn.T_sq, "identity_residual": pn.R1_sq + pn.T_sq - 1.0,
         }
 
-    return _grid_table("cavity", params, _omega_grid(params), _omega_label, columns)
+    return _grid_table("cavity", params, _omega_grid(params, "cavity"), _omega_label, columns)
 
 
 def _run_force_ar(params):
@@ -383,7 +392,7 @@ def _run_force_ar(params):
                 "kappa": kappa}
 
     return _grid_table(
-        "force", params, _omega_grid(params), _omega_label, columns,
+        "force", params, _omega_grid(params, "force"), _omega_label, columns,
         kappa_paper_value=1.0,
         kappa_note=(
             "measured kappa = 1/2 under the average photon-number and "
@@ -394,8 +403,6 @@ def _run_force_ar(params):
 
 def run_force(params):
     mode = params["mode"]
-    if mode not in ("beam", "thermal", "ar"):
-        raise ConfigError(f"unknown force mode {mode!r}")
     row = first_row(params.get("in1", 0.0) <= 0)  # a rule's row names a sweep point
     if mode != "thermal" and row is not None:
         raise ConfigError(f"{mode} mode requires a positive in1 beam occupation", row=row)
@@ -426,7 +433,7 @@ def run_force(params):
             cols["F_over_F0"] = frc.beam_ratio(numbers)
         return cols
 
-    omega = _omega_grid(params)
+    omega = _omega_grid(params, "force")
     table = _grid_table("force", params, omega, _omega_label, columns,
                         eps1_ne_eps3_warning=mismatch is not None)
     if omega.size > 1:  # read as views of the table, once its column arrays are freed

@@ -34,7 +34,7 @@ check of S and no warning.
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def pressure(rho, n_total, omega):
     return HBAR * omega * rho * (n_total + 0.5)
 
 
-@dataclass(frozen=True)
-class InterfaceImpulses:
+class InterfaceImpulses(NamedTuple):
     """ZCF/TCF/NCF force-per-area impulses at one interface (N/(m^2 rad/s))."""
 
     zcf: float

@@ -21,20 +21,20 @@ The block index n may be a numpy array: `solve_transmission` and
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import C, HBAR
 from .errors import INDEX, NONNEGATIVE, POSITIVE, FeasibilityError, at_row, first_row, require
 
 
-@dataclass(frozen=True)
 class PhotonInput:
     """Free photon of angular frequency omega (rad/s)."""
 
-    omega: float
+    __slots__ = ("omega",)
 
-    def __post_init__(self):
-        require("omega", self.omega, POSITIVE)
+    def __init__(self, omega):
+        require("omega", omega, POSITIVE)
+        self.omega = omega
 
     @property
     def k0(self):
@@ -47,22 +47,19 @@ class PhotonInput:
         return HBAR * self.omega
 
 
-@dataclass(frozen=True)
 class MediumBlock:
     """Dielectric block: index n (scalar or array), rest mass M (kg),
     length L (m)."""
 
-    n: float
-    M: float
-    L: float = 1.0
+    __slots__ = ("n", "M", "L")
 
-    def __post_init__(self):
-        require("n", self.n, INDEX)
-        require("M", self.M, POSITIVE)
-        require("L", self.L, POSITIVE)
+    def __init__(self, n, M, L=1.0):
+        require("n", n, INDEX)
+        require("M", M, POSITIVE)
+        require("L", L, POSITIVE)
+        self.n, self.M, self.L = n, M, L
 
 
-@dataclass(frozen=True)
 class MomentumConvention:
     """Photon momentum convention: 'abraham', 'minkowski', or 'general'.
 
@@ -70,18 +67,18 @@ class MomentumConvention:
     via `p` (kg*m/s, >= 0).
     """
 
-    kind: str
-    p: float | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind not in ("abraham", "minkowski", "general"):
-            raise ValueError(f"unknown momentum convention {self.kind!r}")
-        if self.kind == "general":
-            if self.p is None:
+    def __init__(self, kind, p=None):
+        if kind not in ("abraham", "minkowski", "general"):
+            raise ValueError(f"unknown momentum convention {kind!r}")
+        if kind == "general":
+            if p is None:
                 raise ValueError("general convention requires an explicit p")
-            require("p", self.p, NONNEGATIVE)
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} convention takes no explicit p")
+            require("p", p, NONNEGATIVE)
+        elif p is not None:
+            raise ValueError(f"{kind} convention takes no explicit p")
+        self.kind, self.p = kind, p
 
 
 ABRAHAM = MomentumConvention("abraham")
@@ -93,8 +90,7 @@ def general(p):
     return MomentumConvention("general", p)
 
 
-@dataclass(frozen=True)
-class PolaritonSolution:
+class PolaritonSolution(NamedTuple):
     """Energy/momentum partition of the polariton plus block recoil.
 
     Energies in J, momenta in kg*m/s, masses in kg, velocities in m/s.
@@ -231,8 +227,7 @@ def mass_transfer_cube(delta_m, density):
     return (delta_m / density) ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class TimelineStep:
+class TimelineStep(NamedTuple):
     """One sample of the transit: time, block and polariton-front positions,
     and the instantaneous center-of-energy velocity."""
 

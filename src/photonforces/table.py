@@ -43,9 +43,7 @@ each column's last value is where the text is cut into columns.
 
 import functools
 import io
-import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -281,32 +279,28 @@ def _json_values(x, first, rows):
     return _json_slots(x, first, rows).tobytes().translate(None, b"\0").decode()
 
 
-@dataclass
 class ResultTable:
-    columns: list
-    units: list
-    data: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    """Named, unit-labelled columns of a 2-D float array, with a metadata dict."""
 
-    def __post_init__(self):
-        if len(self.columns) != len(self.units):
+    __slots__ = ("columns", "units", "data", "metadata")
+
+    def __init__(self, columns, units, data, metadata=None):
+        if len(columns) != len(units):
             raise ValueError("columns and units must have the same length")
-        if len(set(self.columns)) < len(self.columns):
-            name = next(c for i, c in enumerate(self.columns) if c in self.columns[:i])
+        if len(set(columns)) < len(columns):
+            name = next(c for i, c in enumerate(columns) if c in columns[:i])
             raise ValueError(f"duplicate column {name!r}")
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != len(self.columns):
-            raise ValueError(
-                f"data of shape {data.shape} does not match {len(self.columns)} columns"
-            )
+        data = np.asarray(data, dtype=float)
+        if data.ndim != 2 or data.shape[1] != len(columns):
+            raise ValueError(f"data of shape {data.shape} does not match {len(columns)} columns")
         finite = np.isfinite(data)
         if np.count_nonzero(finite) < data.size:
             i, j = np.argwhere(~finite)[0]
             raise ValueError(
-                f"non-finite value {float(data[i, j])!r} in column "
-                f"{self.columns[j]!r} (row {i})"
+                f"non-finite value {float(data[i, j])!r} in column {columns[j]!r} (row {i})"
             )
-        self.data = data
+        self.columns, self.units, self.data = columns, units, data
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def rows(self):
@@ -326,6 +320,8 @@ class ResultTable:
         # json.dumps with an indent runs its pure-Python encoder over every
         # float, so the data columns are written here in that encoder's
         # layout; the small parts keep json.dumps for escaping and key order
+        import json  # here and in from_json only: a CSV run never loads it
+
         def nested(obj):
             return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
 
@@ -365,6 +361,8 @@ class ResultTable:
 
     @classmethod
     def from_json(cls, text):
+        import json
+
         payload = json.loads(text)
         columns = payload["columns"]
         return cls(

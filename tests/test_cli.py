@@ -163,11 +163,27 @@ class TestConfigParsing:
         (["force", "mode=ar", "n_index=2", "eps2=", "d2_m="], 0, ""),
         (["force", "mode=thermal", "d2_m="], 2,
          "error: config: missing required key for force: d2_m\n"),
+        (["cavity", "omega_max_ev=", "omega_points=2"], 2,
+         "error: config: missing required key for cavity: omega_max_ev\n"),
+        (["force", "omega_points=2"], 2,
+         "error: config: missing required key for force: omega_max_ev\n"),
     ])
     def test_required_key_is_missing_only_from_a_run_that_reads_it(self, config_path, capsys,
                                                                    argv, code, err):
         assert main([argv[0], "--config", config_path, "--out", os.devnull, *argv[1:]]) == code
         assert capsys.readouterr().err == err
+
+    # the switch is checked as its section is parsed, before a sweep's parameter
+    @pytest.mark.parametrize("argv, err", [
+        (["force.mode=AR"], "unknown force mode 'AR'"),
+        (["base=polariton", "parameter=momentum_kgms", "polariton.convention=Bogus"],
+         "unknown convention 'Bogus'"),
+        (["base=polariton", "parameter=energy_ev", "polariton.convention=Bogus"],
+         "unknown convention 'Bogus'"),
+    ])
+    def test_unknown_switch_value_of_a_sweep_base(self, config_path, capsys, argv, err):
+        assert main(["sweep", "--config", config_path, "--out", os.devnull, *argv]) == 2
+        assert capsys.readouterr().err == f"error: config: {err}\n"
 
 
 class TestPolaritonCommand:
