@@ -4,7 +4,8 @@
                  [--jobs N] [key=value ...]
 
 Commands: polariton | cavity | force | sweep.  The config file is an INI
-file with one section per command, read literally (no `%` interpolation);
+file with one section per command, read as configparser reads it (see
+`_plain_sections`) with no `%` interpolation; keys are case-insensitive.
 `key=value` overrides on the command line win over the file, and
 `section.key=value` targets a sweep's base section (any other section that
 the run does not read is a config error).  Each given value, each energy
@@ -34,8 +35,8 @@ taken), and its writer then streams the text there in blocks.
 """
 
 import argparse
-import configparser
 import functools
+import io
 import math
 import os
 import sys
@@ -187,22 +188,60 @@ def _parse_section(raw, command, swept=None):
     return params
 
 
+def _plain_sections(text):
+    """`text`'s {section: {key: value}} as configparser reads it, when every
+    line is a `[name]` header other than [DEFAULT], a `key = value` or
+    `key: value` line, a full-line `#` or `;` comment or blank, and no name
+    or key repeats; else None.  Lines split on "\n" alone, as configparser's
+    do, and one that starts with whitespace (str.isspace) may continue a value."""
+    sections, section = {}, None
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace():
+            return None
+        if stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name or name in sections or name == "DEFAULT":
+                return None
+            section = sections[name] = {}
+            continue
+        key, sep, value = stripped.partition("=")
+        if ":" in key:
+            key, sep, value = stripped.partition(":")
+        key = key.rstrip().lower()
+        if not sep or not key or section is None or key in section:
+            return None
+        section[key] = value.strip()
+    return sections
+
+
 def load_config(path, command, overrides=()):
     """Read the INI config and apply key=value overrides.
 
     Returns the resolved params dict; for `sweep` it carries the base
     command's resolved params under 'base_params'.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path)
-        sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        message = " ".join(str(exc).split())  # configparser's messages span lines
-        raise ConfigError(f"cannot parse config file {path}: {message}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    if not parser.has_section(command):
+    try:  # read once, in the encoding that configparser.read uses
+        with open(path, encoding=io.text_encoding(None)) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    sections = _plain_sections(text)
+    if sections is None:  # configparser's rules: [DEFAULT], continuation lines, its errors
+        import configparser
+
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read_string(text, source=path)
+            sections = {name: dict(parser.items(name)) for name in parser.sections()}
+        except configparser.Error as exc:
+            message = " ".join(str(exc).split())  # configparser's messages span lines
+            raise ConfigError(f"cannot parse config file {path}: {message}") from exc
+    if command not in sections:
         raise ConfigError(f"config has no [{command}] section")
     targets = []
     for item in overrides:
@@ -211,11 +250,12 @@ def load_config(path, command, overrides=()):
         key, value = item.split("=", 1)
         section, key = key.split(".", 1) if "." in key else (command, key)
         targets.append((section, item))
-        key, value = key.strip(), value.strip()
-        if value:
-            sections.setdefault(section, {})[key] = value
+        key, value = key.strip().lower(), value.strip()
+        raw = sections.setdefault(section, {})
+        if value or key not in _KEY_TABLES.get(section, ()):
+            raw[key] = value  # an unknown key, even unset, is named as its section is parsed
         else:  # `key=` with no value unsets the file's entry
-            sections.setdefault(section, {}).pop(key, None)
+            raw.pop(key, None)
     params = _resolve(command, sections)
     for section, item in targets:
         if section not in (command, params.get("base")):

@@ -1,5 +1,6 @@
 """Tests for config parsing, the four CLI commands, and serialization."""
 
+import configparser
 import contextlib
 import errno
 import io
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -127,6 +129,7 @@ class TestConfigParsing:
         ("cavity", "force.eps2=9"),
         ("cavity", "sweep.points=0"),
         ("sweep", "cavity.eps2=9"),  # the sweep's base is force
+        ("cavity", "Cavity.eps2=9"),  # a section name keeps its case
     ])
     def test_rejects_override_of_a_section_the_run_never_reads(self, config_path, capsys,
                                                               command, override):
@@ -184,6 +187,131 @@ class TestConfigParsing:
     def test_unknown_switch_value_of_a_sweep_base(self, config_path, capsys, argv, err):
         assert main(["sweep", "--config", config_path, "--out", os.devnull, *argv]) == 2
         assert capsys.readouterr().err == f"error: config: {err}\n"
+
+    # an override's key is lower-cased, as configparser lower-cases the file's keys
+    @pytest.mark.parametrize("override, in3", [("IN3=0.25", 0.25), ("In3=", None)])
+    def test_override_keys_are_case_insensitive(self, config_path, override, in3):
+        assert load_config(config_path, "cavity", [override]).get("in3") == in3
+
+    @pytest.mark.parametrize("argv, err", [
+        (["cavity", "foo="], "unknown key(s) for cavity: foo"),
+        (["cavity", "foo=", "Bar=1"], "unknown key(s) for cavity: bar, foo"),
+        (["sweep", "force.foo="], "unknown key(s) for force: foo"),
+    ])
+    def test_unset_of_an_unknown_key_is_named(self, config_path, capsys, argv, err):
+        assert main([argv[0], "--config", config_path, "--out", os.devnull, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: config: {err}\n"
+
+    @pytest.mark.parametrize("name, code", [("missing.ini", errno.ENOENT), ("", errno.EISDIR)])
+    def test_unreadable_config_says_why(self, tmp_path, capsys, name, code):
+        path = os.path.join(tmp_path, name)
+        assert main(["cavity", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: cannot read config file {path}: {os.strerror(code)}\n")
+
+    # text that is not plain INI is read by configparser's rules, as before
+    def test_default_section_reaches_the_command_section(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[DEFAULT]\nin1 = 0.5\n" + CONFIG.replace("in1 = 1.0\n", ""))
+        assert load_config(str(path), "cavity")["in1"] == 0.5
+        assert main(["cavity", "--config", str(path), "--out", os.devnull]) == 0
+
+    def test_indented_line_continues_a_value(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.replace("eps2 = 4.0\n", "eps2 = 4.0\n  5.0\n", 1))
+        assert main(["cavity", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: config: bad value for eps2: '4.0\\n5.0'\n"
+
+    # a UTF-8 byte order mark is text before the first header; 0xff is no UTF-8
+    @pytest.mark.parametrize("head, message", [
+        (b"\xef\xbb\xbf", "File contains no section headers. "),
+        (b"#\xff\n", "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte\n"),
+    ])
+    def test_leading_bytes_fail_as_configparser_read_fails(self, tmp_path, capsys, head,
+                                                           message):
+        path = tmp_path / "run.ini"
+        path.write_bytes(head + CONFIG.lstrip().encode())
+        assert main(["cavity", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config: cannot parse config file {path}: {message}")
+
+    def test_config_from_a_fifo_is_read_once(self, tmp_path):
+        path = tmp_path / "run.fifo"
+        os.mkfifo(path)
+        done = threading.Event()
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write("[DEFAULT]\nin1 = 0.5\n" + CONFIG)
+            if not done.wait(10):  # the reader opened the FIFO again: let it read nothing
+                open(path, "w").close()
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        code = main(["cavity", "--config", str(path), "--out", os.devnull])
+        done.set()
+        writer.join(20)
+        assert code == 0 and not writer.is_alive()
+
+    # configparser.read's encoding: UTF-8 in UTF-8 mode, which the C locale turns on
+    def test_utf8_config_is_read_under_the_c_locale(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("# r\u00e9sum\u00e9\n" + CONFIG, encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONUTF8"))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "photonforces.cli", "cavity", "--config", str(path),
+             "--out", os.devnull], env={**env, "LC_ALL": "C", "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _ini_lines():
+    """One line of a config text: a prefix (whitespace, a byte order mark or
+    none), then a header, an option, a comment or nothing, then a line end."""
+    header = st.sampled_from(["[DEFAULT]", "[a]", "[A]", "[a]b", "[ a ]", "[b]", "[a:b]", "[]"])
+    option = st.builds("".join, st.tuples(
+        st.sampled_from(["k", "K", "key two", "Key Two", "x:y", "a=b", ""]),
+        st.sampled_from(["=", ":", "==", " = ", " : ", "\t=", ""]),
+        st.sampled_from(["", "1", " v ", "c:d", "# not a comment", "%(k)s"])))
+    comment = st.sampled_from(["# c", ";c", "#", " # c"])
+    prefix = st.sampled_from(["", "", "", " ", "\t", "\x0c", "\x85", "\u2028", "\u00a0",
+                              "\ufeff"])
+    return st.builds("".join, st.tuples(prefix, header | option | comment | st.just(""),
+                                        st.sampled_from(["\n", "\n", "\r\n", ""])))
+
+
+class TestPlainReader:
+    """The one-pass reader gives configparser's sections or declines."""
+
+    @staticmethod
+    def configparser_sections(text):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(text)
+        return {name: dict(parser.items(name)) for name in parser.sections()}
+
+    # most texts start with a header, so that most are not errors for want of one
+    @given(text=st.builds(lambda head, lines: head + "".join(lines),
+                          st.sampled_from(["[s]\n", "[s]\n", "[s]\n", ""]),
+                          st.lists(_ini_lines(), max_size=12)))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_configparser_or_declines(self, text):
+        sections = cli._plain_sections(text)
+        try:
+            expected = self.configparser_sections(text)
+        except configparser.Error:
+            assert sections is None
+        else:
+            assert sections is None or sections == expected
+
+    def test_reads_the_test_config_itself(self):
+        assert cli._plain_sections(CONFIG) == self.configparser_sections(CONFIG)
+
+    # str.splitlines, or indents of " " and "\t" alone, would read two keys here
+    def test_form_feed_starts_a_continuation(self):
+        text = "[cavity]\neps2 = 1\n\x0cd2_m = 2\n"
+        assert self.configparser_sections(text) == {"cavity": {"eps2": "1\nd2_m = 2"}}
+        assert cli._plain_sections(text) is None
 
 
 class TestPolaritonCommand:

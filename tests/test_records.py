@@ -1,5 +1,6 @@
 """The package's records: immutable NamedTuples, slotted validating classes,
-and an import of the CLI that loads neither `dataclasses` nor `json`."""
+and an import of the CLI that loads neither `dataclasses`, `json` nor
+`configparser`."""
 
 import os
 import subprocess
@@ -30,10 +31,10 @@ PHOTON = PhotonInput(OMEGA)
 BLOCK = MediumBlock(1.5, 1.0)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_json():
+def test_importing_the_cli_loads_neither_dataclasses_json_nor_configparser():
     src = os.path.dirname(os.path.dirname(photonforces.__file__))
     code = ("import sys, photonforces.cli; "
-            "print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'json', 'configparser'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
