@@ -32,13 +32,11 @@ from .kinematics import (
     MomentumConvention,
     PhotonInput,
     PolaritonSolution,
-    bloch_momentum,
     cev_check,
     general,
     mass_transfer_cube,
     photon_momentum,
     solve_transmission,
-    transit_timeline,
 )
 from .table import ResultTable
 

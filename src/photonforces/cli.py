@@ -35,7 +35,6 @@ taken), and its writer then streams the text there in blocks.
 """
 
 import argparse
-import functools
 import io
 import math
 import os
@@ -245,12 +244,12 @@ def load_config(path, command, overrides=()):
         raise ConfigError(f"config has no [{command}] section")
     targets = []
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, value = item.split("=", 1)
+        key, sep, value = item.partition("=")
         section, key = key.split(".", 1) if "." in key else (command, key)
-        targets.append((section, item))
         key, value = key.strip().lower(), value.strip()
+        if not sep or not key:
+            raise ConfigError(f"override must be key=value, got {item!r}")
+        targets.append((section, item))
         raw = sections.setdefault(section, {})
         if value or key not in _KEY_TABLES.get(section, ()):
             raw[key] = value  # an unknown key, even unset, is named as its section is parsed
@@ -347,7 +346,7 @@ def run_polariton(params):
     grid = _linspace(params["n_min"], params["n_max"], params, "n_points")
 
     def columns(n):
-        block = kin.MediumBlock(n=n, M=params["mass_kg"], L=params["length_m"])
+        block = kin.MediumBlock(n=n, M=params["mass_kg"])
         sol = kin.solve_transmission(photon, block, conv)
         v_before, v_after = kin.cev_check(photon, block, sol)
         return {
@@ -554,9 +553,8 @@ def _jobs(text):
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
-@functools.cache
-def _parser():
-    """Built on the first `main()` call, with argparse's own usage line fixed."""
+def _build_parser():
+    """The CLI's argument parser, with argparse's own usage line fixed."""
     parser = argparse.ArgumentParser(
         prog="photonforces", description="Polariton kinematics and cavity electromagnetic forces.")
     parser.add_argument("command", choices=["polariton", "cavity", "force", "sweep"])
@@ -571,9 +569,14 @@ def _parser():
     return parser
 
 
+# Built at import, so that no main() call is left holding the reference cycles
+# that building it leaves (argparse's formatters); calls share it under _PARSING
+_PARSER = _build_parser()
+
+
 def main(argv=None):
     with _PARSING:  # parse_intermixed_args changes the shared parser while it runs
-        args = _parser().parse_intermixed_args(argv)
+        args = _PARSER.parse_intermixed_args(argv)
     try:
         params = load_config(args.config, args.command, args.overrides)
         table = run_command(args.command, params)

@@ -15,12 +15,13 @@ and the recoil velocity of the block
 The isolated photon+block system moves with a constant center-of-energy
 velocity (CEV) regardless of the convention chosen; `cev_check` exposes
 both the before- and after-entry expressions so callers can verify it.
+While the photon crosses a block of length L, taking n*L/c, the block
+drifts at V_r, so it ends displaced by V_r*n*L/c and again at rest.
 
 The block index n may be a numpy array: `solve_transmission` and
 `cev_check` then evaluate the whole index grid in one call.
 """
 
-import math
 from typing import NamedTuple
 
 from .constants import C, HBAR
@@ -48,16 +49,14 @@ class PhotonInput:
 
 
 class MediumBlock:
-    """Dielectric block: index n (scalar or array), rest mass M (kg),
-    length L (m)."""
+    """Dielectric block: index n (scalar or array) and rest mass M (kg)."""
 
-    __slots__ = ("n", "M", "L")
+    __slots__ = ("n", "M")
 
-    def __init__(self, n, M, L=1.0):
+    def __init__(self, n, M):
         require("n", n, INDEX)
         require("M", M, POSITIVE)
-        require("L", L, POSITIVE)
-        self.n, self.M, self.L = n, M, L
+        self.n, self.M = n, M
 
 
 class MomentumConvention:
@@ -208,57 +207,8 @@ def cev_check(photon, block, sol):
     return v_before, v_after
 
 
-def bloch_momentum(photon, n):
-    """Momentum expectation of the polariton Bloch state, n*2*pi*hbar/lambda0.
-
-    Computed through the in-medium wavelength lambda0/n; agrees with
-    photon_momentum(..., MINKOWSKI) to floating-point rounding.
-    """
-    require("n", n, INDEX)
-    lambda0 = 2.0 * math.pi * C / photon.omega
-    lam = lambda0 / n
-    return 2.0 * math.pi * HBAR / lam
-
-
 def mass_transfer_cube(delta_m, density):
     """Side length (m) of the medium cube whose mass equals delta_m."""
     require("delta_m", delta_m, POSITIVE)
     require("density", density, POSITIVE)
     return (delta_m / density) ** (1.0 / 3.0)
-
-
-class TimelineStep(NamedTuple):
-    """One sample of the transit: time, block and polariton-front positions,
-    and the instantaneous center-of-energy velocity."""
-
-    t: float
-    block_position: float
-    polariton_position: float
-    cev: float
-
-
-def transit_timeline(photon, block, conv, steps):
-    """Discretize the transit: entry at t=0, exit at t = n*L/c.
-
-    The block drifts at V_r while the polariton front advances at c/n;
-    entry and exit are treated as instantaneous events, so after exit
-    the block is displaced by V_r*n*L/c and again at rest.  The CEV is
-    constant throughout and equals the pre-entry value.
-    """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    sol = solve_transmission(photon, block, conv)
-    v_before, v_after = cev_check(photon, block, sol)
-    transit_time = block.n * block.L / C
-    out = []
-    for i in range(steps):
-        t = transit_time * i / (steps - 1)
-        out.append(
-            TimelineStep(
-                t=t,
-                block_position=sol.V_r * t,
-                polariton_position=sol.v * t,
-                cev=v_after,
-            )
-        )
-    return out

@@ -99,6 +99,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value"):
             load_config(config_path, "polariton", ["mass_kg=heavy"])
 
+    @pytest.mark.parametrize("override", ["eps2", "=5", " =5", "cavity.=5"])
+    def test_rejects_override_without_a_key(self, config_path, override):
+        with pytest.raises(ConfigError) as info:
+            load_config(config_path, "cavity", [override])
+        assert str(info.value) == f"override must be key=value, got {override!r}"
+
     def test_each_key_has_one_domain_in_every_section(self):
         domains = {}
         for table in _KEY_TABLES.values():
@@ -342,6 +348,18 @@ class TestPolaritonCommand:
             load_config(config_path, "polariton", ["convention=abraham"])
         )
         assert all(r[table.columns.index("E_over_hw")] == 1.0 for r in table.rows)
+
+    def test_block_displacement_after_transit(self, config_path):
+        # the photon crosses a block of length L = 0.1 m in n L / c, so the
+        # block ends displaced by V_r n L / c
+        def displacement(convention, n):
+            table = run_polariton(load_config(config_path, "polariton", [
+                f"convention={convention}", f"n_min={n}", "n_points=1", "mass_kg=1"]))
+            return table.rows[0][table.columns.index("V_r")] * n * 0.1 / C
+
+        assert displacement("minkowski", 2.0) == pytest.approx(-3.565e-37, rel=1e-3)
+        assert displacement("abraham", 2.0) > 0
+        assert displacement("minkowski", 1.0) == displacement("abraham", 1.0) == 0.0
 
     def test_feasibility_error_identifies_row(self, config_path):
         from photonforces.errors import FeasibilityError
@@ -976,13 +994,26 @@ class TestMainEntry:
             out = capsys.readouterr()
             return exit_info.value.code, out.out, out.err
 
-        cli._parser.cache_clear()
         first, second = answer(main), answer(main)
-        assert cli._parser() is cli._parser()
-        fresh = cli._parser.__wrapped__()
+        fresh = cli._build_parser()
         fresh.usage = None  # argparse generates it, as for an unfixed parser
         assert first == second == answer(fresh.parse_intermixed_args)
         assert "usage: photonforces " in first[1] + first[2]
+
+    @pytest.mark.parametrize("override, code", [("n_points=3", 0), ("nonsense=1", 2)])
+    def test_first_call_leaves_no_reference_cycles(self, config_path, override, code):
+        # unreachable objects left by the first call of a fresh interpreter,
+        # counted once the import's own have been collected
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = ("import gc, os, sys\n"
+                  "from photonforces.cli import main\n"
+                  "gc.collect()\n"
+                  "code = main(sys.argv[1:] + ['--out', os.devnull])\n"
+                  "print(code, gc.collect())\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "polariton", "--config", config_path, override],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert proc.stdout == f"{code} 0\n"
 
     def test_closed_stdout_ends_with_exit_0(self, config_path):
         # a reader that stops after 100 bytes, as `| head -c 100` does, of

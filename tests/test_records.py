@@ -21,7 +21,6 @@ from photonforces import (
     fresnel,
     photon_numbers,
     solve_transmission,
-    transit_timeline,
 )
 from photonforces.constants import EV, HBAR
 
@@ -53,7 +52,6 @@ def test_tables_built_without_metadata_do_not_share_it():
     photon_numbers(STACK, OMEGA, 1.0, 0.0),
     force_density_decomposition(STACK, OMEGA, photon_numbers(STACK, OMEGA, 1.0, 0.0))[0],
     solve_transmission(PHOTON, BLOCK, MINKOWSKI),
-    transit_timeline(PHOTON, BLOCK, MINKOWSKI, 2)[0],
 ], ids=lambda record: type(record).__name__)
 def test_record_fields_cannot_be_assigned(record):
     with pytest.raises(AttributeError):
