@@ -1,8 +1,16 @@
-"""Config-parsing stage: `load_config` on a config file of the four
-sections (polariton, cavity, force, sweep; 23 keys), as a 1-row run reads
-it, with one override.  `plain` is plain `[section]` / `key = value` text;
-`default` moves `in1` into a `[DEFAULT]` section, which only configparser
-reads, so it times that path.  Both resolve to the same cavity params.
+"""Config-parsing stages.
+
+`test_load_config`: `load_config` on a config file of the four sections
+(polariton, cavity, force, sweep; 23 keys), as a 1-row run reads it, with
+one override.  `plain` is plain `[section]` / `key = value` text; `default`
+moves `in1` into a `[DEFAULT]` section, which only configparser reads, so
+it times that path.  Both resolve to the same cavity params.
+
+`test_parse_argv`: the CLI's argument parsing, on the argv of a 1-row call
+with every option and three overrides.  `plain` is read in one pass;
+`abbreviated` spells `--config` as `--conf`, which only argparse reads, so
+it times that path (its parser is built before timing).  Both give the
+same arguments.
 
     python -m pytest benchmarks/test_config.py \
         --benchmark-json=BENCH_<n>.json
@@ -14,7 +22,7 @@ the same machine.
 
 import pytest
 
-from photonforces.cli import load_config
+from photonforces.cli import _parse_argv, load_config
 
 CONFIG = """\
 [polariton]
@@ -61,3 +69,15 @@ def test_load_config(benchmark, case, tmp_path):
     path.write_text(TEXTS[case])
     params = benchmark(load_config, str(path), "cavity", ["eps2=2.25"])
     assert params["in1"] == 1.0 and params["eps2"] == 2.25
+
+
+ARGV = ["cavity", "--config", "run.ini", "--out", "out.csv", "--format", "csv", "--jobs", "1",
+        "eps2=4.5", "d2_m=1e-06", "omega_min_ev=1.2"]
+ARGVS = {"plain": ARGV, "abbreviated": ["--conf" if t == "--config" else t for t in ARGV]}
+
+
+@pytest.mark.parametrize("case", list(ARGVS))
+def test_parse_argv(benchmark, case):
+    _parse_argv(ARGVS[case])  # untimed: builds the parser on the argparse path
+    args = benchmark(_parse_argv, ARGVS[case])
+    assert args == _parse_argv(ARGVS["plain"])

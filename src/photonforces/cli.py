@@ -32,9 +32,15 @@ trapezoid of its net_pressure and net_impulse columns over omega (rad/s) in
 the metadata, as integrated_net_pressure_N and integrated_net_impulse_N.
 The table is computed and checked before `--out` is opened (or stdout
 taken), and its writer then streams the text there in blocks.
+
+Plain argv is read in one pass (`_plain_args`): one command, `key=value`
+overrides anywhere, and the four options spelled in full, each followed by
+a separate value that does not start with `-`, with a valid --format and
+--jobs.  argparse reads any other argv (help, abbreviations, `--name=value`,
+`--`, any other token that starts with `-`, a missing --config or command, a
+bad value), with its own messages and exit codes; it is imported only then.
 """
 
-import argparse
 import io
 import math
 import os
@@ -53,7 +59,7 @@ from .errors import (
 )
 from .table import ResultTable
 
-_PARSING = threading.Lock()  # held while main() parses its arguments
+_PARSING = threading.Lock()  # held while argparse parses main()'s arguments
 
 _BASE_METADATA = {
     "constants_version": CONSTANTS_VERSION,
@@ -544,23 +550,38 @@ def rerun_from_json(text, jobs=1):
     return run_command(command, _resolve(command, sections))
 
 
-def _jobs(text):
+_COMMANDS = tuple(_KEY_TABLES)
+_FORMATS = ("csv", "json")
+
+
+def _job_count(text):
+    """`text` as a --jobs count, an integer >= 1; else None."""
     try:
-        if int(text) >= 1:
-            return int(text)
+        count = int(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        return None
+    return count if count >= 1 else None
+
+
+def _jobs(text):
+    count = _job_count(text)
+    if count is None:
+        import argparse
+
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
 
 
 def _build_parser():
     """The CLI's argument parser, with argparse's own usage line fixed."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="photonforces", description="Polariton kinematics and cavity electromagnetic forces.")
-    parser.add_argument("command", choices=["polariton", "cavity", "force", "sweep"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="INI config file path")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--format", choices=_FORMATS, default="csv")
     parser.add_argument("--jobs", type=_jobs, default=1, help="accepted for compatibility; "
                         "no effect (grids are evaluated as arrays)")
     parser.add_argument("overrides", nargs="*", metavar="key=value",
@@ -569,24 +590,67 @@ def _build_parser():
     return parser
 
 
-# Built at import, so that no main() call is left holding the reference cycles
-# that building it leaves (argparse's formatters); calls share it under _PARSING
-_PARSER = _build_parser()
+def _plain_args(argv):
+    """`vars(_build_parser().parse_intermixed_args(argv))` for plain argv
+    (see the module docstring), read in one pass; else None.  As in argparse,
+    each token that does not start with `-` ("" too) is a positional, the
+    first of them the command, and an option given twice keeps its last value."""
+    args = {"config": None, "out": None, "format": "csv", "jobs": 1}
+    positionals = []
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, "-")
+        if token not in ("--config", "--out", "--format", "--jobs") or value.startswith("-"):
+            return None
+        name = token[2:]
+        if name == "format" and value not in _FORMATS:
+            return None
+        if name == "jobs":
+            value = _job_count(value)
+            if value is None:
+                return None
+        args[name] = value
+    if args["config"] is None or not positionals or positionals[0] not in _COMMANDS:
+        return None
+    args["command"], args["overrides"] = positionals[0], positionals[1:]
+    return args
+
+
+# Built by the first argv that argparse reads; calls share it under _PARSING.
+# Building it leaves reference cycles (argparse's formatters), which a plain
+# argv, read without it, does not.
+_PARSER = None
+
+
+def _parse_argv(argv):
+    """main's arguments, {command, config, out, format, jobs, overrides}:
+    read in one pass if plain, else by the shared argparse parser."""
+    global _PARSER
+    args = _plain_args(argv)
+    if args is None:
+        with _PARSING:  # parse_intermixed_args changes the shared parser while it runs
+            if _PARSER is None:
+                _PARSER = _build_parser()
+            args = vars(_PARSER.parse_intermixed_args(argv))
+    return args
 
 
 def main(argv=None):
-    with _PARSING:  # parse_intermixed_args changes the shared parser while it runs
-        args = _PARSER.parse_intermixed_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))  # as argparse reads it
+    out = args["out"]
     try:
-        params = load_config(args.config, args.command, args.overrides)
-        table = run_command(args.command, params)
-        write = table.write_json if args.format == "json" else table.write_csv
-        if args.out:
+        params = load_config(args["config"], args["command"], args["overrides"])
+        table = run_command(args["command"], params)
+        write = table.write_json if args["format"] == "json" else table.write_csv
+        if out:
             try:
-                with open(args.out, "w") as fh:
+                with open(out, "w") as fh:
                     write(fh)
             except OSError as exc:
-                message = f"cannot write output file {args.out}: {exc.strerror}"
+                message = f"cannot write output file {out}: {exc.strerror}"
                 raise ConfigError(message) from exc
         else:
             try:

@@ -986,6 +986,7 @@ class TestMainEntry:
         ["--help"], [], ["bogus", "--config", "run.ini"],
         ["cavity", "--config", "run.ini", "--jobs", "0"],
         ["cavity", "--config", "run.ini", "--flag"],
+        ["cavity", "--", "--config", "run.ini"],  # `--config` after `--` is a positional
     ])
     def test_parser_built_once_answers_as_a_fresh_one(self, capsys, argv):
         def answer(parse):
@@ -1035,17 +1036,115 @@ class TestMainEntry:
     def test_concurrent_calls_leave_the_shared_parser_intact(self, config_path):
         # parse_intermixed_args saves and restores state on the parser's
         # actions; two parses at once without the lock can restore the saved
-        # state of the other, which breaks every later parse in the process
-        argv = ["polariton", "--config", config_path, "n_points=2", "--out", os.devnull]
+        # state of the other, which breaks every later parse in the process.
+        # The abbreviated --conf is read by argparse, the other by main itself.
+        argvs = [[option, config_path, "polariton", "n_points=2", "--out", os.devnull]
+                 for option in ("--conf", "--config")]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as pool:
-                codes = list(pool.map(lambda _: main(argv), range(200), timeout=60))
+                codes = list(pool.map(lambda i: main(argvs[i % 2]), range(200), timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert codes == [0] * 200
-        assert main(argv) == 0
+        assert [main(argv) for argv in argvs] == [0, 0]
+
+    def test_plain_call_loads_no_argparse_and_help_still_works(self, config_path):
+        # main() with no arguments reads sys.argv[1:]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        script = ("import sys\n"
+                  "from photonforces.cli import main\n"
+                  "print(main(), 'argparse' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "polariton", "--config", config_path, "n_points=1",
+             "--out", os.devnull], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+        proc = subprocess.run([sys.executable, "-m", "photonforces.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: photonforces ")
+
+
+# Tokens of the command lines that the one-pass reader and argparse must
+# agree on: each option in full, abbreviated and joined to its value by `=`,
+# help, `--`, dashes and negative numbers, counts, formats, overrides and
+# tokens with spaces
+_ARGV_TOKENS = (
+    "polariton", "cavity", "force", "sweep",
+    "--config", "--out", "--format", "--jobs", "--conf", "--o", "--form", "--j",
+    "--config=run.ini", "--out=o.csv", "--format=json", "--jobs=2",
+    "-h", "--help", "--", "-", "-1", "", "0", "2", "3_0", " 4", "json", "xml", "csv",
+    "run.ini", "k=v", "in1=2", "cavity.eps2=4", "key=a b", "a b", "-x y",
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Command lines of tokens from _ARGV_TOKENS.  Half are drawn at random;
+    the others are laid out as a plain one (a command, --config, other
+    options, overrides, in any order), each slot filled from the pool,
+    biased to the tokens that fit it."""
+    token = st.sampled_from(_ARGV_TOKENS)
+    if draw(st.booleans()):
+        return draw(st.lists(token, max_size=10))
+
+    def fit(tokens):  # one of `tokens` three times in four, else any token
+        return draw(st.sampled_from(tokens) if draw(st.integers(0, 3)) else token)
+
+    plain = [t for t in _ARGV_TOKENS if not t.startswith("-")]
+    values = {"--format": ["csv", "json", "xml"], "--jobs": ["0", "2", "3_0", " 4"]}
+    options = draw(st.lists(st.sampled_from(["--out", "--format", "--jobs", "--config"]),
+                            max_size=4))
+    pieces = [[fit(cli._COMMANDS)], ["--config", fit(plain)],
+              *([option, fit(values.get(option, plain))] for option in options),
+              *([fit(plain)] for _ in range(draw(st.integers(0, 3))))]
+    return [t for piece in draw(st.permutations(pieces)) for t in piece]
+
+
+def _parse_or_exit(parse, argv):
+    """(result, exit code, stdout, stderr) of `parse(argv)`; the result is
+    None where it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    result, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return result, code, out.getvalue(), err.getvalue()
+
+
+class TestArgvReader:
+    """The one-pass reader gives argparse's namespace for every argv it
+    accepts, and main() hands every other argv to argparse unchanged."""
+
+    @given(argv=_argvs())
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_agrees_with_argparse(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # empty: no config path in the pool exists
+        namespace, *answer = _parse_or_exit(cli._build_parser().parse_intermixed_args, argv)
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert namespace is not None and plain == vars(namespace)
+        elif namespace is None:
+            assert _parse_or_exit(main, argv) == (None, *answer)
+        else:  # argparse reads it, and main runs with argparse's namespace
+            message = (f"error: config: cannot read config file {namespace.config}: "
+                       f"No such file or directory\n")
+            assert _parse_or_exit(main, argv) == (2, None, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        ["polariton", "--config", "run.ini"],
+        ["--jobs", "3_0", "cavity", "k=v", "--out", "", "--format", "json", "--config", "a b",
+         "x", "--config", "run.ini"],
+        ["sweep", "", "--jobs", " 4", "--config", "run.ini"],
+    ])
+    def test_reads_plain_argv_itself(self, argv):
+        namespace = cli._build_parser().parse_intermixed_args(argv)
+        assert cli._plain_args(argv) == vars(namespace)
 
 
 # nan and +-inf lie outside every key's domain, and -1.0 outside all but
