@@ -35,36 +35,26 @@ _TWO_PI = 2.0 * math.pi
 
 class LayerStack:
     """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m),
-    each a scalar or an array.  `interfaces` holds the Fresnel coefficients
-    of the interfaces n1|n2 and n2|n3, and `intracavity` the factor
-    1 / (1 - r1^2 r2^2) of the intracavity photon numbers; both are computed
+    each a scalar or an array, and the refractive indices n1..n3 = eps**0.5
+    (dimensionless).  `interfaces` holds the Fresnel coefficients of the
+    interfaces n1|n2 and n2|n3, and `intracavity` the factor
+    1 / (1 - r1^2 r2^2) of the intracavity photon numbers; all are computed
     once per stack."""
 
-    __slots__ = ("eps1", "eps2", "eps3", "d2", "interfaces", "intracavity")
+    __slots__ = ("eps1", "eps2", "eps3", "d2", "n1", "n2", "n3", "interfaces", "intracavity")
 
     def __init__(self, eps1, eps2, eps3, d2):
         self.eps1, self.eps2, self.eps3, self.d2 = eps1, eps2, eps3, d2
         for name in ("eps1", "eps2", "eps3", "d2"):
             require(name, getattr(self, name), POSITIVE if name == "d2" else INDEX)
-        n1, n2, n3 = self.n1, self.n2, self.n3
+        n1, n2, n3 = eps1**0.5, eps2**0.5, eps3**0.5
+        self.n1, self.n2, self.n3 = n1, n2, n3
         self.interfaces = fresnel(n1, n2), fresnel(n2, n3)
         # 1 - r1^2 r2^2 = (1 - r1 r2)(1 + r1 r2), each factor expanded over
         # the indices so that strong mirrors (r1 r2 -> -1) lose no digits
         outer = (n1 + n2) * (n2 + n3)
         gap = 4.0 * n2 * (n1 * n3 + n2 * n2) * (n1 + n3)
         self.intracavity = outer * outer / gap
-
-    @property
-    def n1(self):
-        return self.eps1**0.5
-
-    @property
-    def n2(self):
-        return self.eps2**0.5
-
-    @property
-    def n3(self):
-        return self.eps3**0.5
 
     def k2(self, omega):
         """Wavenumber inside the cavity layer, n2*omega/c (1/m)."""

@@ -36,16 +36,16 @@ taken), and its writer then streams the text there in blocks.
 Plain argv is read in one pass (`_plain_args`): one command, `key=value`
 overrides anywhere, and the four options spelled in full, each followed by
 a separate value that does not start with `-`, with a valid --format and
---jobs.  argparse reads any other argv (help, abbreviations, `--name=value`,
-`--`, any other token that starts with `-`, a missing --config or command, a
-bad value), with its own messages and exit codes; it is imported only then.
+--jobs.  Any other argv (help, abbreviations, `--name=value`, `--`, any
+other token that starts with `-`, a missing --config or command, a bad
+value) is read by a new argparse parser, with its own messages and exit
+codes; argparse is imported only then, and calls share no parser.
 """
 
 import io
 import math
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -58,8 +58,6 @@ from .errors import (
     NumericalGuardError, first_row, require,
 )
 from .table import ResultTable
-
-_PARSING = threading.Lock()  # held while argparse parses main()'s arguments
 
 _BASE_METADATA = {
     "constants_version": CONSTANTS_VERSION,
@@ -573,7 +571,8 @@ def _jobs(text):
 
 
 def _build_parser():
-    """The CLI's argument parser, with argparse's own usage line fixed."""
+    """A new argparse parser for the CLI, built for each argv that
+    `_plain_args` declines."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -586,7 +585,6 @@ def _build_parser():
                         "no effect (grids are evaluated as arrays)")
     parser.add_argument("overrides", nargs="*", metavar="key=value",
                         help="config overrides; section.key=value targets another section")
-    parser.usage = parser.format_usage().removeprefix("usage: ").removesuffix("\n")
     return parser
 
 
@@ -619,33 +617,15 @@ def _plain_args(argv):
     return args
 
 
-# Built by the first argv that argparse reads; calls share it under _PARSING.
-# Building it leaves reference cycles (argparse's formatters), which a plain
-# argv, read without it, does not.
-_PARSER = None
-
-
-def _parse_argv(argv):
-    """main's arguments, {command, config, out, format, jobs, overrides}:
-    read in one pass if plain, else by the shared argparse parser."""
-    global _PARSER
-    args = _plain_args(argv)
-    if args is None:
-        with _PARSING:  # parse_intermixed_args changes the shared parser while it runs
-            if _PARSER is None:
-                _PARSER = _build_parser()
-            args = vars(_PARSER.parse_intermixed_args(argv))
-    return args
-
-
 def main(argv=None):
-    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))  # as argparse reads it
+    argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
+    args = _plain_args(argv) or vars(_build_parser().parse_intermixed_args(argv))
     out = args["out"]
     try:
         params = load_config(args["config"], args["command"], args["overrides"])
         table = run_command(args["command"], params)
         write = table.write_json if args["format"] == "json" else table.write_csv
-        if out:
+        if out is not None:
             try:
                 with open(out, "w") as fh:
                     write(fh)

@@ -29,23 +29,16 @@ from .errors import INDEX, NONNEGATIVE, POSITIVE, FeasibilityError, at_row, firs
 
 
 class PhotonInput:
-    """Free photon of angular frequency omega (rad/s)."""
+    """Free photon of angular frequency omega (rad/s), with its vacuum
+    wavenumber k0 = omega/c (1/m) and energy hbar*omega (J)."""
 
-    __slots__ = ("omega",)
+    __slots__ = ("omega", "k0", "energy")
 
     def __init__(self, omega):
         require("omega", omega, POSITIVE)
         self.omega = omega
-
-    @property
-    def k0(self):
-        """Vacuum wavenumber omega/c (1/m)."""
-        return self.omega / C
-
-    @property
-    def energy(self):
-        """Photon energy hbar*omega (J)."""
-        return HBAR * self.omega
+        self.k0 = omega / C
+        self.energy = HBAR * omega
 
 
 class MediumBlock:

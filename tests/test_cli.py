@@ -972,6 +972,15 @@ class TestMainEntry:
         assert main([argv[0], "--config", config_path, "--out", str(out), *argv[1:]]) == code
         assert out.read_bytes() == b"kept\r\nas it was\n"
 
+    @pytest.mark.parametrize("option", [["--out", ""], ["--out="]])
+    def test_empty_out_path_is_a_config_error(self, config_path, capsys, option):
+        # an empty path is a file that cannot be opened, not stdout
+        assert main(["cavity", "--config", config_path, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: config: cannot write output file : {os.strerror(errno.ENOENT)}\n")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_write_failing_partway_is_a_config_error(self, config_path, capsys, fmt):
@@ -988,7 +997,7 @@ class TestMainEntry:
         ["cavity", "--config", "run.ini", "--flag"],
         ["cavity", "--", "--config", "run.ini"],  # `--config` after `--` is a positional
     ])
-    def test_parser_built_once_answers_as_a_fresh_one(self, capsys, argv):
+    def test_argparse_path_answers_as_a_fresh_parser(self, capsys, argv):
         def answer(parse):
             with pytest.raises(SystemExit) as exit_info:
                 parse(argv)
@@ -996,9 +1005,7 @@ class TestMainEntry:
             return exit_info.value.code, out.out, out.err
 
         first, second = answer(main), answer(main)
-        fresh = cli._build_parser()
-        fresh.usage = None  # argparse generates it, as for an unfixed parser
-        assert first == second == answer(fresh.parse_intermixed_args)
+        assert first == second == answer(cli._build_parser().parse_intermixed_args)
         assert "usage: photonforces " in first[1] + first[2]
 
     @pytest.mark.parametrize("override, code", [("n_points=3", 0), ("nonsense=1", 2)])
@@ -1033,11 +1040,11 @@ class TestMainEntry:
         assert err == b""
         assert head.startswith(b"omega_ev,n1p,")
 
-    def test_concurrent_calls_leave_the_shared_parser_intact(self, config_path):
-        # parse_intermixed_args saves and restores state on the parser's
-        # actions; two parses at once without the lock can restore the saved
-        # state of the other, which breaks every later parse in the process.
-        # The abbreviated --conf is read by argparse, the other by main itself.
+    def test_concurrent_calls_on_both_parse_paths_succeed(self, config_path):
+        # parse_intermixed_args saves and restores state on its parser's
+        # actions, so calls at once must not share a parser: each argv that
+        # argparse reads gets its own.  The abbreviated --conf is read by
+        # argparse, the other by main itself.
         argvs = [[option, config_path, "polariton", "n_points=2", "--out", os.devnull]
                  for option in ("--conf", "--config")]
         interval = sys.getswitchinterval()
