@@ -184,10 +184,7 @@ def bose_einstein(omega, T):
     # the cut at 700, so that they give 0 however small omega is
     kt = KB * T
     x = HBAR * omega / (kt + (kt == 0)) + 701.0 * (kt == 0)
-    # x > 700 is cut to 0, and x < 1e-8 takes the Rayleigh-Jeans form 1/x: inf,
-    # with numpy's RuntimeWarning, for a float or an array where x < 5.6e-309
-    n = (x <= 700.0) * np.exp(-x) / -np.expm1(-x)
-    if first_row(x < 1e-8) is not None:
-        n = np.where(x < 1e-8, np.divide(1.0, x), n)[()]
-    return _plain(n)
+    # x > 700 is cut to 0; -expm1(-x) keeps full precision however small x is,
+    # and gives inf, with numpy's RuntimeWarning, where 1/x overflows (x < 5.6e-309)
+    return _plain((x <= 700.0) * np.exp(-x) / -np.expm1(-x))
 

@@ -14,8 +14,9 @@ third field of the key's row in `_KEY_TABLES`), and so is the config
 embedded in a JSON result that is rerun; a row count that cannot be
 allocated and a sweep range whose max - min overflows are config errors
 too.  A mode or convention must be one of its values (`_READ_AT` lists
-them, with the keys that each reads); a required key is missing only from a
-run that reads it, and only once every given value has passed.  Exit codes:
+them, with the keys that each reads); the convention is parsed in lower
+case and the mode as given.  A required key is missing only from a run that
+reads it, and only once every given value has passed.  Exit codes:
 2 config error, 3 physics infeasibility, 4 numerical-guard trip (a
 non-finite output included); any other exception is an internal error and
 exits 1 with a traceback.  A stdout whose reader
@@ -78,7 +79,7 @@ _POLARITON_KEYS = {
     "n_points": (int, 201, INDEX),
     "mass_kg": (float, 1.0, POSITIVE),
     "length_m": (float, 1.0, POSITIVE),
-    "convention": (str, "minkowski", None),
+    "convention": (str.lower, "minkowski", None),
     "momentum_kgms": (float, _REQUIRED, NONNEGATIVE),
 }
 
@@ -139,17 +140,10 @@ _READ_AT = {
 _SINGLE_ROW_UNREAD = ("length_m", "n_max", "omega_max_ev")
 
 
-def _switch(section, params):
-    """The section's switch value as the runners compare it: mode as given,
-    convention in lower case."""
-    key = _READ_AT[section][0]
-    return params[key] if key == "mode" else params[key].lower()
-
-
 def _reads(section, params, key):
     """Whether a run of `section` with the parsed `params` reads `key`."""
-    _, _, read_at = _READ_AT.get(section, (None, (), {}))
-    return key not in read_at or _switch(section, params) in read_at[key]
+    switch, _, read_at = _READ_AT.get(section, (None, (), {}))
+    return key not in read_at or params[switch] in read_at[key]
 
 
 def _sweepable(base, base_params):
@@ -181,9 +175,9 @@ def _parse_section(raw, command, swept=None):
         elif default is not None and default is not _REQUIRED:
             params[key] = default
     switch, values, _ = _READ_AT.get(command, (None, (), {}))
-    if switch and _switch(command, params) not in values:
+    if switch and params[switch] not in values:
         name = "force mode" if switch == "mode" else switch
-        raise ConfigError(f"unknown {name} {params[switch]!r}")
+        raise ConfigError(f"unknown {name} {str(raw[switch])!r}")
     for key, (_, default, _) in table.items():
         if (default is _REQUIRED and key not in params and key != swept
                 and _reads(command, params, key)):
@@ -316,8 +310,6 @@ def _grid_table(command, params, grid, label, columns, **metadata):
             raise NumericalGuardError(f"non-finite value {float(data[j, i])!r} in column "
                                       f"{list(cols)[j]!r}", row=int(i))
     except (FeasibilityError, NumericalGuardError) as exc:
-        if exc.row is None:
-            raise
         raise type(exc)(f"row {exc.row} ({label(axis[exc.row])}): {exc}") from exc
     return ResultTable(
         columns=list(cols),
@@ -328,7 +320,7 @@ def _grid_table(command, params, grid, label, columns, **metadata):
 
 
 def _convention(params):
-    name = _switch("polariton", params)
+    name = params["convention"]
     if name == "general":
         return kin.general(params["momentum_kgms"])
     return kin.ABRAHAM if name == "abraham" else kin.MINKOWSKI
@@ -492,8 +484,9 @@ def run_force(params):
 def run_sweep(params):
     """Evaluate the single-row base run once, with the swept key set to the
     array of sweep values: every row is computed in the same array call, and
-    the swept values are the table's first column.  A config error about one
-    value names its row."""
+    the swept values are the table's first column, and its metadata is the
+    base run's, with the sweep's command and config.  A config error about
+    one value names its row."""
     base = params["base"]
     key = params["parameter"]
     base_params = params["base_params"]
@@ -512,7 +505,7 @@ def run_sweep(params):
         if exc.row is None:
             raise
         raise ConfigError(f"row {exc.row} ({key}={values[exc.row]:g}): {exc}") from exc
-    table.metadata = {**_BASE_METADATA, "command": "sweep", "config": dict(params)}
+    table.metadata.update(command="sweep", config=dict(params))
     return table
 
 

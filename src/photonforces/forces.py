@@ -98,9 +98,10 @@ def net_force_pressure(stack, omega, numbers, x1, x2, S):
     """Net spectral force on the stack from the pressure difference
     S * [P(x1) - P(x2)], with x1 in layer 1 (x < 0) and x2 in layer 3
     (x > d2).  Warns when eps1 != eps3 (zero-point parts no longer cancel)."""
-    if x1 >= 0.0:
+    # each position is tested as the valid condition, so that nan fails too
+    if first_row(np.logical_not(x1 < 0.0)) is not None:
         raise ValueError(f"x1 must lie in layer 1 (x < 0), got {x1}")
-    if first_row(x2 <= stack.d2) is not None:
+    if first_row(np.logical_not(x2 > stack.d2)) is not None:
         raise ValueError(f"x2 must lie in layer 3 (x > d2), got {x2}")
     require("S", S, POSITIVE)
     if first_row(stack.eps1 != stack.eps3) is not None:

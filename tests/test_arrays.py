@@ -393,6 +393,16 @@ def test_table_rejects_duplicate_column_naming_it():
         ResultTable(columns=["a", "b", "a"], units=["-"] * 3, data=np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("units, data, message", [
+    (["-"], np.ones((2, 2)), r"^columns and units must have the same length$"),
+    (["-", "-"], np.ones((2, 3)), r"^data of shape \(2, 3\) does not match 2 columns$"),
+    (["-", "-"], np.ones(2), r"^data of shape \(2,\) does not match 2 columns$"),
+])
+def test_table_rejects_mismatched_units_and_shape(units, data, message):
+    with pytest.raises(ValueError, match=message):
+        ResultTable(columns=["a", "b"], units=units, data=data)
+
+
 # names need JSON escapes (quote, backslash, control and non-ASCII characters)
 _NAMES = st.text(alphabet='ab"\\\n\u00e9\u2192\U0001f600', max_size=5)
 _VALUES = st.one_of(

@@ -9,6 +9,7 @@ nor destroys photons).
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,16 @@ class TestBoseEinstein:
         T = 300.0
         omega = 1e-9 * KB * T / HBAR
         assert bose_einstein(omega, T) == pytest.approx(KB * T / (HBAR * omega), rel=1e-8)
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-9, 9e-9])
+    def test_small_argument_is_exact(self, x):
+        # 1/x, the Rayleigh-Jeans form, is off by x/2 relative here
+        T = 300.0
+        omega = x * KB * T / HBAR
+        x = HBAR * omega / (KB * T)  # the argument as bose_einstein forms it
+        with mpmath.workdps(50):
+            exact = 1 / mpmath.expm1(mpmath.mpf(x))
+            assert abs(bose_einstein(omega, T) / exact - 1) <= 1e-15
 
     def test_occupation_beyond_the_float_range_is_inf_for_a_float_and_an_array(self):
         # hbar*omega underflows to 0 at 300 K, so kB*T/(hbar*omega) is beyond the range

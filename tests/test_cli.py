@@ -110,7 +110,7 @@ class TestConfigParsing:
         for table in _KEY_TABLES.values():
             for key, (parse, _, domain) in table.items():
                 assert domains.setdefault(key, domain) == domain, key
-                assert (domain is None) == (parse is str), key
+                assert (domain is None) == (parse in (str, str.lower)), key
 
     def test_rejects_missing_section(self, tmp_path):
         path = tmp_path / "empty.ini"
@@ -162,7 +162,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing required"):
             run_force(load_config(str(path), "force"))
 
-    # mode is compared as given and convention in any case, as the runners do
+    # mode is read as given and convention in lower case
     @pytest.mark.parametrize("argv, code, err", [
         (["polariton", "convention=General"], 2,
          "error: config: missing required key for polariton: momentum_kgms\n"),
@@ -613,6 +613,22 @@ class TestSweepCommand:
             list(np.linspace(1e-7, 1e-6, 5))
         )
 
+    def test_sweep_of_an_ar_base_keeps_its_kappa_note(self, config_path):
+        params = load_config(config_path, "sweep", [
+            "parameter=n_index", "min=1.1", "max=4.0", "points=3", "force.mode=ar"])
+        metadata = run_sweep(params).metadata
+        assert (metadata["command"], metadata["config"]) == ("sweep", params)
+        assert metadata["kappa_paper_value"] == 1.0
+        assert metadata["kappa_note"].startswith("measured kappa = 1/2")
+
+    def test_thermal_sweep_across_eps1_records_the_mismatch(self, config_path):
+        params = load_config(config_path, "sweep", [
+            "parameter=eps3", "min=1", "max=2", "points=3", "force.mode=thermal",
+            "force.in1=", "force.t_left_k=300"])
+        metadata = run_sweep(params).metadata
+        assert (metadata["command"], metadata["config"]) == ("sweep", params)
+        assert metadata["eps1_ne_eps3_warning"] is True
+
     def test_ar_n_sweep_cancellation_column(self, config_path):
         table = run_sweep(
             load_config(
@@ -803,6 +819,17 @@ class TestSerialization:
         with pytest.raises(ConfigError) as info:
             rerun_from_json(json.dumps(payload))
         assert str(info.value) == message
+
+    def test_convention_is_read_in_lower_case(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.replace("convention = minkowski", "convention = Minkowski"))
+        assert main(["polariton", "--config", str(path), "--format", "json"]) == 0
+        metadata = json.loads(capsys.readouterr().out)["metadata"]
+        assert metadata["config"]["convention"] == "minkowski"
+
+    def test_run_command_rejects_unknown_command(self):
+        with pytest.raises(ConfigError, match="^unknown command 'bogus'$"):
+            run_command("bogus", {})
 
     def test_metadata_records_conventions(self, config_path):
         table = run_force(load_config(config_path, "force"))

@@ -59,6 +59,14 @@ class TestPressure:
         omega = 1.0 * EV / HBAR
         assert pressure(RHO0, 0.7, omega) - pressure(RHO0, 0.7, omega) == 0.0
 
+    @pytest.mark.parametrize("rho, n_total, omega", [
+        (-RHO0, 0.0, 1.0), (RHO0, -1.0, 1.0), (RHO0, 0.0, -1.0),
+        (RHO0, np.array([0.0, -1.0]), 1.0),
+    ])
+    def test_rejects_negative_inputs(self, rho, n_total, omega):
+        with pytest.raises(ValueError, match="^pressure inputs must be nonnegative$"):
+            pressure(rho, n_total, omega)
+
 
 class TestDecomposition:
     def test_equilibrium_ncf_vanishes(self):
@@ -158,6 +166,15 @@ class TestNetForcePressure:
             net_force_pressure(stack, omega, numbers, 0.5e-6, stack.d2 + 1.0, 1.0)
         with pytest.raises(ValueError):
             net_force_pressure(stack, omega, numbers, -1.0, 0.5e-6, 1.0)
+        # nan lies in no layer
+        with pytest.raises(ValueError, match="^x1 must lie in layer 1"):
+            net_force_pressure(stack, omega, numbers, math.nan, stack.d2 + 1.0, 1.0)
+        with pytest.raises(ValueError, match="^x1 must lie in layer 1"):
+            net_force_pressure(stack, omega, numbers, np.array([-1.0, math.nan]), 2.0, 1.0)
+        with pytest.raises(ValueError, match="^x2 must lie in layer 3"):
+            net_force_pressure(stack, omega, numbers, -1.0, math.nan, 1.0)
+        with pytest.raises(ValueError, match="^x2 must lie in layer 3"):
+            net_force_pressure(stack, omega, numbers, -1.0, np.array([1.0, math.nan]), 1.0)
 
 
 class TestBeamForceLaw:

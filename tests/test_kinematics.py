@@ -290,6 +290,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             general(-1e-28)
 
+    @pytest.mark.parametrize("kind, p, message", [
+        ("fresnel", None, "unknown momentum convention 'fresnel'"),
+        ("general", None, "general convention requires an explicit p"),
+        ("abraham", 1e-28, "abraham convention takes no explicit p"),
+    ])
+    def test_convention_rejects_bad_kind_and_p(self, kind, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MomentumConvention(kind, p)
+
     def test_omega_positive(self):
         with pytest.raises(ValueError):
             PhotonInput(omega=0.0)
