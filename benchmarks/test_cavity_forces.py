@@ -1,8 +1,11 @@
 """Photon-number and force-column stage: `photon_numbers` on thermal inputs,
 and the beam and thermal force columns (`run_command("force", ...)`, which
 evaluates the columns and assembles the table but does not serialize it),
-at 1 and 5000 rows.  A one-row case passes omega as a Python float, as the
-CLI does for a one-point grid.
+at 1, 5000 and 20 000 rows (the largest grid of the project's end-to-end
+aims).  A one-row case passes omega as a Python float, as the CLI does for
+a one-point grid.  Each force case records in `extra_info` the tracemalloc
+peak of one call, in MB above the heap before it (the `peak_mb` fixture in
+conftest.py).
 
     python -m pytest benchmarks/test_cavity_forces.py \
         --benchmark-json=BENCH_<n>.json
@@ -29,7 +32,7 @@ FORCE = {
 }
 
 
-@pytest.fixture(params=[1, 5000], ids=lambda rows: f"{rows}rows")
+@pytest.fixture(params=[1, 5000, 20000], ids=lambda rows: f"{rows}rows")
 def rows(request):
     return request.param
 
@@ -45,6 +48,8 @@ def test_photon_numbers(benchmark, rows):
 
 
 @pytest.mark.parametrize("mode", ["beam", "thermal"])
-def test_force_columns(benchmark, rows, mode):
-    table = benchmark(run_command, "force", {**FORCE[mode], "omega_points": rows})
+def test_force_columns(benchmark, rows, mode, peak_mb):
+    params = {**FORCE[mode], "omega_points": rows}
+    benchmark.extra_info["peak_mb"] = peak_mb(lambda: run_command("force", params))
+    table = benchmark(run_command, "force", params)
     assert table.data.shape[0] == rows

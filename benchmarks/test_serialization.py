@@ -6,9 +6,9 @@ a small table still costs what per-value `%` formatting costs.
 Writing to a file is timed two ways: `to_csv()`/`to_json()` followed by one
 write of the text (`test_text_then_write`), and the table's streaming
 writer, `write_csv`/`write_json`, into the open file (`test_writer_to_file`).
-Each records in `extra_info` the tracemalloc peak of one call, in MB above
-the heap before it, after a full collection; the writer case records the
-peak of the text-then-write path beside its own.
+Each records in `extra_info` the tracemalloc peak of one call (the
+`peak_mb` fixture in conftest.py); the writer case records the peak of the
+text-then-write path beside its own.
 
     python -m pytest benchmarks/test_serialization.py \
         --benchmark-json=BENCH_<n>.json
@@ -17,9 +17,6 @@ Not part of the tier-1 suite (`testpaths = ["tests"]`): timings on a small
 shared machine are noisy, so compare two commits only from runs made on
 the same machine.
 """
-
-import gc
-import tracemalloc
 
 import pytest
 
@@ -52,18 +49,6 @@ def test_to_csv(benchmark, table):
     assert len(text.splitlines()) == len(table.rows) + 2
 
 
-def _peak_mb(fn):
-    """tracemalloc peak of one call of `fn`, in MB above the heap before it."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 def _text_then_write(table, fmt, path):
     def run():
         text = getattr(table, f"to_{fmt}")()
@@ -73,22 +58,22 @@ def _text_then_write(table, fmt, path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_text_then_write(benchmark, table, fmt, tmp_path):
+def test_text_then_write(benchmark, table, fmt, tmp_path, peak_mb):
     run = _text_then_write(table, fmt, tmp_path / f"out.{fmt}")
-    benchmark.extra_info["peak_mb"] = _peak_mb(run)
+    benchmark.extra_info["peak_mb"] = peak_mb(run)
     benchmark(run)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_writer_to_file(benchmark, table, fmt, tmp_path):
+def test_writer_to_file(benchmark, table, fmt, tmp_path, peak_mb):
     path = tmp_path / f"out.{fmt}"
 
     def run():
         with open(path, "w") as fh:
             getattr(table, f"write_{fmt}")(fh)
 
-    benchmark.extra_info["peak_mb"] = _peak_mb(run)
-    benchmark.extra_info["peak_mb_text_then_write"] = _peak_mb(
+    benchmark.extra_info["peak_mb"] = peak_mb(run)
+    benchmark.extra_info["peak_mb_text_then_write"] = peak_mb(
         _text_then_write(table, fmt, tmp_path / f"text.{fmt}"))
     benchmark(run)
     assert path.read_text() == getattr(table, f"to_{fmt}")()

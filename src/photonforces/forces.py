@@ -110,13 +110,14 @@ def net_force_pressure(stack, omega, numbers, x1, x2, S):
             "includes a static Casimir-like offset",
             stacklevel=2,
         )
-    return _net_pressure(stack, omega, numbers, S)
+    return _net_pressure(stack, omega, numbers.totals, S)
 
 
-def _net_pressure(stack, omega, numbers, S):
-    """S * [P(x1) - P(x2)], unchecked and silent (see the module docstring)."""
+def _net_pressure(stack, omega, totals, S):
+    """S * [P(x1) - P(x2)] from the layer totals of a photon-number record,
+    unchecked and silent (see the module docstring)."""
     rho1, _, rho3 = _rho(stack)
-    n1t, _, n3t = numbers.totals
+    n1t, _, n3t = totals
     return S * (pressure(rho1, n1t, omega) - pressure(rho3, n3t, omega))
 
 

@@ -316,7 +316,10 @@ class ResultTable:
             fh.write(_csv_rows(self.data[i:i + _CSV_BLOCK_ROWS]))
 
     def write_json(self, fh):
-        """Write the JSON text to the text file `fh`, a block of values at a time."""
+        """Write the JSON text to the text file `fh`, a block of values at a
+        time.  The blocks are views of `self.data`, copied only where one
+        spans a column end, so the writer holds the table and one encoder
+        block (about 215 bytes per value)."""
         # json.dumps with an indent runs its pure-Python encoder over every
         # float, so the data columns are written here in that encoder's
         # layout; the small parts keep json.dumps for escaping and key order
@@ -327,20 +330,22 @@ class ResultTable:
 
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         names = [json.dumps(self.columns[j]) for j in order]
-        rows = len(self.data)
-        # the sorted columns, end to end, in blocks; `_JSON_END` after each
-        # column's last value is where the next column's head goes
-        values = self.data.T.take(order, axis=0).ravel()
+        rows, size = len(self.data), self.data.size
         fh.write(f'{{\n  "columns": {nested(self.columns)},\n  "data": ')
-        if not values.size:  # no columns, or empty ones, as json.dumps writes them
+        if not size:  # no columns, or empty ones, as json.dumps writes them
             fh.write(nested(dict.fromkeys(self.columns, [])))
         else:
             heads = iter([f"{{\n    {names[0]}: [\n      ",
                           *[f"\n    ],\n    {name}: [\n      " for name in names[1:]],
                           "\n    ]\n  }"])
             fh.write(next(heads))
-            for start in range(0, values.size, _JSON_BLOCK_VALUES):
-                block = values[start:start + _JSON_BLOCK_VALUES]
+            # the sorted columns, end to end; `_JSON_END` after each column's
+            # last value is where the next column's head goes
+            for start in range(0, size, _JSON_BLOCK_VALUES):
+                stop = min(start + _JSON_BLOCK_VALUES, size)
+                parts = [self.data[max(start - k * rows, 0):stop - k * rows, order[k]]
+                         for k in range(start // rows, (stop - 1) // rows + 1)]
+                block = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 # the block's first column end is value (-start - 1) % rows
                 text, *rest = _json_values(block, (-start - 1) % rows, rows).split(_JSON_END)
                 fh.write(text)

@@ -820,6 +820,24 @@ class TestSerialization:
             rerun_from_json(json.dumps(payload))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", "3", '"force"', "null", "{}", '{"columns": ["n"]}', '{"metadata": [1]}',
+        '{"metadata": null, "command": "force"}',
+    ])
+    def test_rerun_refuses_a_payload_without_a_metadata_object(self, text):
+        with pytest.raises(ConfigError) as info:
+            rerun_from_json(text)
+        assert str(info.value) == "JSON result carries no embedded command/config"
+
+    @pytest.mark.parametrize("command", ["polariton", "cavity", "force", "sweep"])
+    def test_rerun_reads_the_metadata_alone(self, config_path, command):
+        # no table is built from the data: a payload of the metadata alone,
+        # or with data that is no table, reruns to the original bytes
+        text = run_command(command, load_config(config_path, command)).to_json()
+        metadata = json.loads(text)["metadata"]
+        for payload in ({"metadata": metadata}, {"metadata": metadata, "data": "none"}):
+            assert rerun_from_json(json.dumps(payload)).to_json() == text
+
     def test_convention_is_read_in_lower_case(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text(CONFIG.replace("convention = minkowski", "convention = Minkowski"))
