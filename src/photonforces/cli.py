@@ -293,8 +293,9 @@ def _grid_table(command, params, grid, label, columns, **metadata):
     A one-point grid is passed as a Python float: numpy's per-call overhead
     on 1-element arrays would cost more than the computation.  An array
     parameter is a sweep over a one-point grid (see run_sweep), with a row
-    per value and the values as the first column.  A non-finite value is a
-    guard error; feasibility and guard errors name their row and its value.
+    per value and the values as the first column.  The table's constructor
+    makes a non-finite value a guard error; feasibility and guard errors,
+    that one included, name their row and its value.
 
     The column dict and the matrix filled from it are the only full-size
     arrays held here, so a grid run holds at most its table, the columns
@@ -310,18 +311,14 @@ def _grid_table(command, params, grid, label, columns, **metadata):
         data = np.empty((len(cols), axis.size))
         for j, values in enumerate(cols.values()):
             data[j] = values
-        if not np.isfinite(data).all():
-            i, j = np.argwhere(~np.isfinite(data.T))[0]
-            raise NumericalGuardError(f"non-finite value {float(data[j, i])!r} in column "
-                                      f"{list(cols)[j]!r}", row=int(i))
+        return ResultTable(
+            columns=list(cols),
+            units=[_UNITS.get(name, "-") for name in cols],
+            data=data.T,
+            metadata={**_BASE_METADATA, "command": command, "config": dict(params), **metadata},
+        )
     except (FeasibilityError, NumericalGuardError) as exc:
         raise type(exc)(f"row {exc.row} ({label(axis[exc.row])}): {exc}") from exc
-    return ResultTable(
-        columns=list(cols),
-        units=[_UNITS.get(name, "-") for name in cols],
-        data=data.T,
-        metadata={**_BASE_METADATA, "command": command, "config": dict(params), **metadata},
-    )
 
 
 def _convention(params):

@@ -9,7 +9,7 @@ Any other exception is an internal error (exit 1, with a traceback).
 A range check on an input goes through `require` and one of four domains,
 none of which admits nan or inf.  Only the sign checks of `forces.pressure`
 and `cavity.total_photon_number` let nan through, so that a nan made from an
-overflowing input reaches the CLI's non-finite guard (exit 4).  Library
+overflowing input reaches `ResultTable`'s non-finite guard (exit 4).  Library
 functions evaluate whole grids at once, so an error carries `row`: the first
 grid row that failed (0 for a scalar evaluation), which the CLI turns into
 the row and its value.

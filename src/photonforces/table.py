@@ -47,6 +47,8 @@ import sys
 
 import numpy as np
 
+from .errors import NumericalGuardError
+
 _CSV_BLOCK_ROWS = 256
 # Smaller blocks are formatted by `%`: numpy's fixed cost per block, 35-100
 # us, outweighs about 1 us per `%` value (measured on a 2 GHz Xeon).  So is
@@ -280,7 +282,8 @@ def _json_values(x, first, rows):
 
 
 class ResultTable:
-    """Named, unit-labelled columns of a 2-D float array, with a metadata dict."""
+    """Named, unit-labelled columns of a 2-D float array, with a metadata dict.
+    A non-finite value raises NumericalGuardError with its row in `.row`."""
 
     __slots__ = ("columns", "units", "data", "metadata")
 
@@ -295,19 +298,11 @@ class ResultTable:
             raise ValueError(f"data of shape {data.shape} does not match {len(columns)} columns")
         finite = np.isfinite(data)
         if np.count_nonzero(finite) < data.size:
-            i, j = np.argwhere(~finite)[0]
-            raise ValueError(
-                f"non-finite value {float(data[i, j])!r} in column {columns[j]!r} (row {i})"
-            )
+            i, j = np.argwhere(~finite)[0]  # the first in row-major order
+            raise NumericalGuardError(
+                f"non-finite value {float(data[i, j])!r} in column {columns[j]!r}", row=int(i))
         self.columns, self.units, self.data = columns, units, data
         self.metadata = {} if metadata is None else metadata
-
-    @property
-    def rows(self):
-        return self.data.tolist()
-
-    def column(self, name):
-        return self.data[:, self.columns.index(name)].tolist()
 
     def write_csv(self, fh):
         """Write the CSV text to the text file `fh`, a block of rows at a time."""
@@ -323,7 +318,7 @@ class ResultTable:
         # json.dumps with an indent runs its pure-Python encoder over every
         # float, so the data columns are written here in that encoder's
         # layout; the small parts keep json.dumps for escaping and key order
-        import json  # here and in from_json only: a CSV run never loads it
+        import json  # here only: a CSV run never loads it
 
         def nested(obj):
             return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -355,24 +350,17 @@ class ResultTable:
                  f'  "units": {nested(self.units)}\n}}\n')
 
     def to_csv(self):
+        """The CSV text as a string.  Its peak holds the text twice, the
+        `StringIO` buffer and `getvalue()`'s copy, so write a large table with
+        `write_csv`."""
         fh = io.StringIO()
         self.write_csv(fh)
         return fh.getvalue()
 
     def to_json(self):
+        """The JSON text as a string.  Its peak holds the text twice, the
+        `StringIO` buffer and `getvalue()`'s copy (2.92 MB for the 1.45 MB of a
+        5000-row beam table), so write a large table with `write_json`."""
         fh = io.StringIO()
         self.write_json(fh)
         return fh.getvalue()
-
-    @classmethod
-    def from_json(cls, text):
-        import json
-
-        payload = json.loads(text)
-        columns = payload["columns"]
-        return cls(
-            columns=columns,
-            units=payload["units"],
-            data=np.array([payload["data"][name] for name in columns], dtype=float).T,
-            metadata=payload.get("metadata", {}),
-        )

@@ -121,7 +121,7 @@ def test_criterion_4_polariton_sweep(config_path, tmp_path):
     params = load_config(config_path, "polariton")
     table = run_polariton(params)
     cols = table.columns
-    for row in table.rows:
+    for row in table.data:
         n = row[cols.index("n")]
         assert abs(row[cols.index("E_over_hw")] - n**2) / n**2 < REL
         assert abs(row[cols.index("p_over_hk0")] - n) / n < REL
@@ -129,7 +129,7 @@ def test_criterion_4_polariton_sweep(config_path, tmp_path):
         assert abs(row[cols.index("pf_over_hk0")] - 1.0 / n) * n < REL
     out = tmp_path / "fig2.csv"
     assert main(["polariton", "--config", config_path, "--out", str(out)]) == 0
-    assert out.read_text().count("\n") == 2 + len(table.rows)
+    assert out.read_text().count("\n") == 2 + len(table.data)
     report(4, "CLI n-sweep reproduces E/hw=n^2, p/hk0=n, Ef/hw=1, pf/hk0=1/n "
               "to 1e-12; CSV emitted")
 

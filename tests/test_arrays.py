@@ -209,7 +209,7 @@ def test_sweep_equals_per_point_runner_calls(name, key):
                 for v in values]
         assert table.columns == [key] + subs[0].columns
         assert table.units == ["-"] + subs[0].units
-        assert table.column(key) == values.tolist()
+        assert table.data[:, 0].tolist() == values.tolist()
         want = np.array([sub.data[0] for sub in subs])
         units = np.array(subs[0].units)
         for j, unit in enumerate(units):
@@ -304,10 +304,14 @@ def test_require_names_first_failing_row():
 
 
 def test_table_finiteness_check_names_column_and_row():
+    # a column-major scan would meet the nan at (2, 0) first; the CLI labels
+    # the row, so the first non-finite value is taken in row-major order
     data = np.ones((3, 2))
     data[1, 1] = np.inf
-    with pytest.raises(ValueError, match=r"non-finite value inf in column 'b' \(row 1\)"):
+    data[2, 0] = np.nan
+    with pytest.raises(NumericalGuardError, match=r"^non-finite value inf in column 'b'$") as info:
         ResultTable(columns=["a", "b"], units=["-", "-"], data=data)
+    assert info.value.row == 1
 
 
 def test_csv_bytes_match_per_value_formatting():

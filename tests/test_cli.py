@@ -33,7 +33,6 @@ from photonforces.cli import (
 )
 from photonforces.constants import C, EV, HBAR
 from photonforces.errors import ConfigError
-from photonforces.table import ResultTable
 
 REL = 1e-12
 
@@ -323,7 +322,7 @@ class TestPlainReader:
 class TestPolaritonCommand:
     def test_minkowski_curves(self, config_path):
         table = run_polariton(load_config(config_path, "polariton"))
-        for row in table.rows:
+        for row in table.data:
             n = row[table.columns.index("n")]
             assert row[table.columns.index("E_over_hw")] == pytest.approx(
                 n**2, rel=1e-12
@@ -331,7 +330,7 @@ class TestPolaritonCommand:
             assert row[table.columns.index("p_over_hk0")] == pytest.approx(
                 n, rel=1e-12
             )
-        n2 = table.rows[4]  # n = 2 row of the 9-point [1, 3] grid
+        n2 = table.data[4]  # n = 2 row of the 9-point [1, 3] grid
         assert n2[table.columns.index("Ed_over_hw")] == pytest.approx(3.0, rel=1e-12)
 
     def test_vacuum_row_has_no_dipole_part(self, config_path):
@@ -339,7 +338,7 @@ class TestPolaritonCommand:
             table = run_polariton(
                 load_config(config_path, "polariton", [f"convention={conv}"])
             )
-            first = table.rows[0]
+            first = table.data[0]
             assert first[table.columns.index("Ed_over_hw")] == 0.0
             assert first[table.columns.index("pd_over_hk0")] == 0.0
 
@@ -347,7 +346,7 @@ class TestPolaritonCommand:
         table = run_polariton(
             load_config(config_path, "polariton", ["convention=abraham"])
         )
-        assert all(r[table.columns.index("E_over_hw")] == 1.0 for r in table.rows)
+        assert all(r[table.columns.index("E_over_hw")] == 1.0 for r in table.data)
 
     def test_block_displacement_after_transit(self, config_path):
         # the photon crosses a block of length L = 0.1 m in n L / c, so the
@@ -355,7 +354,7 @@ class TestPolaritonCommand:
         def displacement(convention, n):
             table = run_polariton(load_config(config_path, "polariton", [
                 f"convention={convention}", f"n_min={n}", "n_points=1", "mass_kg=1"]))
-            return table.rows[0][table.columns.index("V_r")] * n * 0.1 / C
+            return table.data[0][table.columns.index("V_r")] * n * 0.1 / C
 
         assert displacement("minkowski", 2.0) == pytest.approx(-3.565e-37, rel=1e-3)
         assert displacement("abraham", 2.0) > 0
@@ -376,14 +375,14 @@ class TestCavityCommand:
         table = run_cavity(
             load_config(config_path, "cavity", ["in1=0.8", "in3=0.8"])
         )
-        for row in table.rows:
+        for row in table.data:
             vals = [row[table.columns.index(c)] for c in
                     ("n1p", "n1m", "n2p", "n2m", "n3p", "n3m")]
             assert max(vals) - min(vals) < 1e-12
 
     def test_empty_cavity(self, config_path):
         table = run_cavity(load_config(config_path, "cavity", ["eps2=1.0"]))
-        for row in table.rows:
+        for row in table.data:
             assert row[table.columns.index("R1_sq")] == 0.0
             assert abs(row[table.columns.index("identity_residual")]) < 1e-12
 
@@ -396,7 +395,7 @@ class TestCavityCommand:
                 [f"d2_m={lam0 / 8.0}", "omega_min_ev=1.0", "omega_points=1"],
             )
         )
-        assert table.rows[0][table.columns.index("R1_sq")] == pytest.approx(
+        assert table.data[0][table.columns.index("R1_sq")] == pytest.approx(
             0.36, rel=1e-9
         )
 
@@ -407,7 +406,7 @@ class TestCavityCommand:
                 ["in1=", "in3=", "t_left_k=300", "t_right_k=300"],
             )
         )
-        for row in table.rows:
+        for row in table.data:
             assert row[table.columns.index("n1p")] == pytest.approx(
                 row[table.columns.index("n3m")], rel=1e-12
             )
@@ -455,7 +454,7 @@ class TestStrongMirrors:
 class TestForceCommand:
     def test_beam_mode_ratio(self, config_path):
         table = run_force(load_config(config_path, "force"))
-        row = table.rows[0]
+        row = table.data[0]
         assert row[table.columns.index("net_pressure")] == pytest.approx(
             row[table.columns.index("net_impulse")], rel=1e-12
         )
@@ -469,14 +468,14 @@ class TestForceCommand:
                  "omega_max_ev=2.0", "omega_points=5"],
             )
         )
-        for row in table.rows:
+        for row in table.data:
             assert row[table.columns.index("net_pressure")] == 0.0
 
     def test_ar_mode(self, config_path):
         table = run_force(
             load_config(config_path, "force", ["mode=ar", "n_index=2.0"])
         )
-        row = table.rows[0]
+        row = table.data[0]
         assert row[table.columns.index("F1_plus_F2")] == 0.0
         assert row[table.columns.index("kappa")] == pytest.approx(0.5, rel=1e-12)
         assert table.metadata["kappa_paper_value"] == 1.0
@@ -550,7 +549,8 @@ class TestIntegratedForce:
         table = run_force(load_config(config_path, "force", self.RUNS[mode]))
         omega = np.linspace(0.5 * EV / HBAR, 2.0 * EV / HBAR, 300)
         for key in self.KEYS:
-            column = table.column(key.removeprefix("integrated_").removesuffix("_N"))
+            name = key.removeprefix("integrated_").removesuffix("_N")
+            column = table.data[:, table.columns.index(name)]
             assert table.metadata[key] == float(np.trapezoid(column, omega))
         assert table.metadata[self.KEYS[0]] == pytest.approx(table.metadata[self.KEYS[1]],
                                                              rel=1e-12)
@@ -608,8 +608,8 @@ class TestSweepCommand:
     def test_d2_sweep(self, config_path):
         table = run_sweep(load_config(config_path, "sweep"))
         assert table.columns[0] == "d2_m"
-        assert len(table.rows) == 5
-        assert [r[0] for r in table.rows] == pytest.approx(
+        assert len(table.data) == 5
+        assert [r[0] for r in table.data] == pytest.approx(
             list(np.linspace(1e-7, 1e-6, 5))
         )
 
@@ -638,8 +638,8 @@ class TestSweepCommand:
             )
         )
         idx = table.columns.index("F1_plus_F2")
-        assert all(row[idx] == 0.0 for row in table.rows)
-        kappas = table.column("kappa")
+        assert all(row[idx] == 0.0 for row in table.data)
+        kappas = table.data[:, table.columns.index("kappa")]
         assert max(kappas) - min(kappas) < 1e-10
 
     def test_rejects_multirow_base(self, config_path):
@@ -722,7 +722,7 @@ class TestSweepCommand:
             "polariton.convention=general", "polariton.momentum_kgms=5e-28",
             "parameter=momentum_kgms", "min=4e-28", "max=6e-28", "points=3",
         ]))
-        assert len(set(table.column("E_over_hw"))) == 3
+        assert len(set(table.data[:, table.columns.index("E_over_hw")])) == 3
 
     def test_feasibility_error_names_sweep_point(self, config_path, capsys):
         code = main([
@@ -770,15 +770,16 @@ class TestSerialization:
         table = run_polariton(load_config(config_path, "polariton"))
         lines = table.to_csv().splitlines()
         assert lines[0].startswith("n,")
-        for row, line in zip(table.rows, lines[2:]):
+        for row, line in zip(table.data.tolist(), lines[2:]):
             assert [float(x) for x in line.split(",")] == row
 
     def test_json_round_trip(self, config_path):
         table = run_cavity(load_config(config_path, "cavity"))
-        back = ResultTable.from_json(table.to_json())
-        assert back.columns == table.columns
-        assert back.rows == table.rows
-        assert back.metadata == table.metadata
+        back = json.loads(table.to_json())
+        assert back["columns"] == table.columns
+        for j, name in enumerate(table.columns):
+            assert back["data"][name] == table.data[:, j].tolist()
+        assert back["metadata"] == table.metadata
 
     @pytest.mark.parametrize("command", ["polariton", "cavity", "force", "sweep"])
     def test_json_output_is_the_indent_encoder_text(self, config_path, command, capsys):
