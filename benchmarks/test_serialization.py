@@ -1,14 +1,14 @@
-"""Serialization stage: `ResultTable.to_json` and `to_csv` on
-beam-force tables of 1, 500 and 5000 rows (10 columns).  The 1-row table
-lies below the CSV array encoder's crossover, so its `to_csv` shows whether
-a small table still costs what per-value `%` formatting costs.
+"""Serialization stage: `ResultTable.to_json` and the writers on beam-force
+tables of 1, 500 and 5000 rows (10 columns).  The 1-row table lies below
+both array encoders' crossovers, so its cases show whether a small table
+still costs what per-value formatting costs.
 
-Writing to a file is timed two ways: `to_csv()`/`to_json()` followed by one
-write of the text (`test_text_then_write`), and the table's streaming
-writer, `write_csv`/`write_json`, into the open file (`test_writer_to_file`).
-Each records in `extra_info` the tracemalloc peak of one call (the
-`peak_mb` fixture in conftest.py); the writer case records the peak of the
-text-then-write path beside its own.
+Writing to a file is timed two ways: the whole text as a string followed by
+one write of it (`test_text_then_write`; `to_json()`, or `write_csv` into a
+`StringIO`), and the table's streaming writer, `write_csv`/`write_json`,
+into the open file (`test_writer_to_file`).  Each records in `extra_info`
+the tracemalloc peak of one call (the `peak_mb` fixture in conftest.py); the
+writer case records the peak of the text-then-write path beside its own.
 
     python -m pytest benchmarks/test_serialization.py \
         --benchmark-json=BENCH_<n>.json
@@ -18,6 +18,7 @@ shared machine are noisy, so compare two commits only from runs made on
 the same machine.
 """
 
+import io
 import json
 
 import pytest
@@ -41,14 +42,19 @@ def test_to_json(benchmark, table):
         assert data[name] == table.data[:, j].tolist()
 
 
-def test_to_csv(benchmark, table):
-    text = benchmark(table.to_csv)
-    assert len(text.splitlines()) == len(table.data) + 2
+def _text(table, fmt):
+    """The whole text as a string: `to_json()`, or `write_csv` into a
+    `StringIO`."""
+    if fmt == "json":
+        return table.to_json()
+    fh = io.StringIO()
+    table.write_csv(fh)
+    return fh.getvalue()
 
 
 def _text_then_write(table, fmt, path):
     def run():
-        text = getattr(table, f"to_{fmt}")()
+        text = _text(table, fmt)
         with open(path, "w") as fh:
             fh.write(text)
     return run
@@ -73,4 +79,4 @@ def test_writer_to_file(benchmark, table, fmt, tmp_path, peak_mb):
     benchmark.extra_info["peak_mb_text_then_write"] = peak_mb(
         _text_then_write(table, fmt, tmp_path / f"text.{fmt}"))
     benchmark(run)
-    assert path.read_text() == getattr(table, f"to_{fmt}")()
+    assert path.read_text() == _text(table, fmt)

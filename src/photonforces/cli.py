@@ -307,7 +307,7 @@ def _grid_table(command, params, grid, label, columns, **metadata):
         if isinstance(value, np.ndarray):
             axis, label, swept = value, f"{key}={{:g}}".format, {key: value}
     try:
-        cols = {**swept, **columns(grid.item() if grid.size == 1 else grid.ravel())}
+        cols = {**swept, **columns(grid.item() if grid.size == 1 else grid)}
         data = np.empty((len(cols), axis.size))
         for j, values in enumerate(cols.values()):
             data[j] = values

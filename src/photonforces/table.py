@@ -10,7 +10,7 @@ with sorted keys, a 2-space indent and one value per line: the text of
 `json.dumps(payload, indent=2, sort_keys=True)`.  Values are written as
 Python's shortest round-trip `repr`, so they too read back exactly.
 `write_csv(fh)` / `write_json(fh)` write each format to a text file a block
-at a time; `to_csv()` / `to_json()` are the same writer into a `StringIO`.
+at a time; `to_json()` is the JSON writer into a `StringIO`.
 
 CSV rows are encoded as arrays, `_CSV_BLOCK_ROWS` rows at a time, into the
 bytes `%.16e` writes.  Each nonzero |x| is scaled in long double,
@@ -84,7 +84,10 @@ def _tables():
     an import nor a call that writes only small tables pays for them:
     10**k in long double from k = _POW_MIN, each 4-digit group as the 4
     bytes of a uint32, "d." per lead digit, and the exponent text from
-    E = _EXP_MIN."""
+    E = _EXP_MIN; then the JSON slot words (see `_json_slots`): sign,
+    "0.000"-style prefix and lead digit per (prefix, sign, lead), the masks
+    that keep the first 0-4 digits of a group, the exponent text per E from
+    _EXP_MIN then an empty one, and the separator then the column end."""
     # parsed from decimal strings: `np.longdouble(10) ** k` is off by more
     # than half an ulp for some k
     pow10 = np.array([f"1e{k}" for k in range(_POW_MIN, 17 - _EXP_MIN)], dtype=np.longdouble)
@@ -92,7 +95,14 @@ def _tables():
     digit4 = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
     lead = np.array([f"{d}." for d in range(10)], dtype="S2")
     exp = np.array([f"e{e:+03d}" for e in range(_EXP_MIN, _EXP_MAX + 1)], dtype="S5")
-    return pow10, digit4, lead, exp
+    heads = np.array([(sign + prefix.ljust(5, "\0") + str(d)).encode()
+                      for prefix in ("", "0.", "0.0", "0.00", "0.000")
+                      for sign in ("\0", "-") for d in range(10)], dtype="S8")
+    masks = np.array([(1 << 8 * cut) - 1 for cut in range(5)], dtype=np.uint32)
+    tails = np.append(exp, b"").astype("S8")
+    seps = np.array([_JSON_SEP, _JSON_END], dtype="S8")
+    return (pow10, digit4, lead, exp,
+            heads.view(np.uint64), masks, tails.view(np.uint64), seps.view(np.uint64))
 
 
 def _scale(x):
@@ -135,17 +145,17 @@ def _csv_rows(block):
     if block.size < _CSV_MIN_VALUES or not _WIDE_LONG_DOUBLE:
         fmt = ",".join(["%.16e"] * cols) + "\n"
         return "".join([fmt % tuple(row) for row in block.tolist()])
-    _, digit4, lead_text, exp_text = _tables()
+    _, digit4, lead_text, exp_text, *_ = _tables()
     x = block.ravel()
     _, zero, e, d, frac = _scale(x)
     exact = np.abs(frac - 0.5) <= d * _BAND
     d += frac > 0.5
     exact |= (d < _E16) | (d >= _E17)
     exact &= ~zero
-    # zeros print as 0.0000000000000000e+00; the exact path overwrites its
-    # slots, and D = 0 keeps their lead digit in the table
+    # zeros print as 0.0000000000000000e+00 (`_scale` reads them as 1.0, so
+    # E = 0); the exact path overwrites its slots, and D = 0 keeps their
+    # lead digit in the table
     d[exact | zero] = 0
-    e[zero] = 0
 
     out = np.empty(x.size, _SLOT)
     out["sign"] = np.signbit(x) * ord("-")
@@ -161,23 +171,6 @@ def _csv_rows(block):
         exact_text = np.array(["%.16e" % v for v in x[idx].tolist()], dtype="S24")
         text[idx, :24] = exact_text.view(np.uint8).reshape(idx.size, 24)
     return text.tobytes().translate(None, b"\0").decode()
-
-
-@functools.cache
-def _json_tables():
-    """The JSON encoder's slot words (see `_json_slots`), built on its first
-    use: sign, "0.000"-style prefix and lead digit per (prefix, sign, lead);
-    the masks that keep the first 0-4 digits of a group; the exponent text
-    per E from _EXP_MIN, then an empty one; and the separator, then the
-    column end."""
-    exp_text = _tables()[3]
-    heads = np.array([(sign + prefix.ljust(5, "\0") + str(lead)).encode()
-                      for prefix in ("", "0.", "0.0", "0.00", "0.000")
-                      for sign in ("\0", "-") for lead in range(10)], dtype="S8")
-    masks = np.array([(1 << 8 * cut) - 1 for cut in range(5)], dtype=np.uint32)
-    tails = np.append(exp_text, b"").astype("S8")
-    seps = np.array([_JSON_SEP, _JSON_END], dtype="S8")
-    return heads.view(np.uint64), masks, tails.view(np.uint64), seps.view(np.uint64)
 
 
 def _shortest(x):
@@ -221,7 +214,6 @@ def _shortest(x):
     d[carry] = _E16
     e[carry] += 1
     d[exact | zero] = 0
-    e[zero] = 0
     return d, e, 17 - j, exact
 
 
@@ -233,8 +225,7 @@ def _json_slots(x, first, rows):
     `kept` are written, and a point in the pad byte after digit `e` (fixed
     notation, |x| >= 1 or zero) or after the lead digit (scientific notation
     with more than one digit).  Exact-path values hold their `repr`."""
-    heads, masks, tails, seps = _json_tables()
-    digit4 = _tables()[1]
+    _, digit4, _, _, heads, masks, tails, seps = _tables()
     d, e, n, exact = _shortest(x)
     sci = (e < -4) | (e > 15)
     point = ~sci & (e >= 0)
@@ -349,18 +340,12 @@ class ResultTable:
         fh.write(f',\n  "metadata": {nested(self.metadata)},\n'
                  f'  "units": {nested(self.units)}\n}}\n')
 
-    def to_csv(self):
-        """The CSV text as a string.  Its peak holds the text twice, the
-        `StringIO` buffer and `getvalue()`'s copy, so write a large table with
-        `write_csv`."""
-        fh = io.StringIO()
-        self.write_csv(fh)
-        return fh.getvalue()
-
     def to_json(self):
-        """The JSON text as a string.  Its peak holds the text twice, the
-        `StringIO` buffer and `getvalue()`'s copy (2.92 MB for the 1.45 MB of a
-        5000-row beam table), so write a large table with `write_json`."""
+        """The JSON text as a string, kept for the reruns that compare it
+        with their source text (`rerun_from_json`'s round trip).  Its peak
+        holds the text twice, the `StringIO` buffer and `getvalue()`'s copy
+        (2.92 MB for the 1.45 MB of a 5000-row beam table), so write a large
+        table with `write_json`."""
         fh = io.StringIO()
         self.write_json(fh)
         return fh.getvalue()

@@ -8,6 +8,7 @@ photon numbers, 4*S*hbar*omega*rho0*(max occupation + 1) for forces
 """
 
 import gc
+import io
 import json
 import math
 import re
@@ -45,7 +46,7 @@ from photonforces.cli import (
     _KEY_TABLES, _sweepable, load_config, main, rerun_from_json, run_command, run_sweep,
 )
 from photonforces.constants import C, EV, HBAR
-from photonforces.errors import INDEX, NONNEGATIVE, POSITIVE, ConfigError, require
+from photonforces.errors import INDEX, NONNEGATIVE, POSITIVE, ConfigError, first_row, require
 from photonforces import table as table_module
 from photonforces.table import ResultTable
 
@@ -303,6 +304,11 @@ def test_require_names_first_failing_row():
     require("x", values[:1], INDEX)
 
 
+def test_require_accepts_an_empty_array():
+    assert first_row(np.array([], bool)) is None
+    require("x", np.array([]), POSITIVE)
+
+
 def test_table_finiteness_check_names_column_and_row():
     # a column-major scan would meet the nan at (2, 0) first; the CLI labels
     # the row, so the first non-finite value is taken in row-major order
@@ -314,13 +320,22 @@ def test_table_finiteness_check_names_column_and_row():
     assert info.value.row == 1
 
 
+def _text(table, fmt):
+    """The table's text as a string: `to_json()`, or what `write_csv` writes."""
+    if fmt == "json":
+        return table.to_json()
+    fh = io.StringIO()
+    table.write_csv(fh)
+    return fh.getvalue()
+
+
 def test_csv_bytes_match_per_value_formatting():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
     data[0] = [0.0, -0.0, 1.0, -1e-320]
     table = ResultTable(columns=list("abcd"), units=list("-" * 4), data=data)
     rows = [",".join(f"{v:.16e}" for v in row) for row in data.tolist()]
-    assert table.to_csv() == "\n".join(["a,b,c,d", "-,-,-,-"] + rows) + "\n"
+    assert _text(table, "csv") == "\n".join(["a,b,c,d", "-,-,-,-"] + rows) + "\n"
 
 
 def _per_value_csv(data):
@@ -332,8 +347,8 @@ def _per_value_csv(data):
 
 def _csv(data):
     width = data.shape[1]
-    return ResultTable(columns=[f"c{j}" for j in range(width)], units=["-"] * width,
-                       data=data).to_csv()
+    table = ResultTable(columns=[f"c{j}" for j in range(width)], units=["-"] * width, data=data)
+    return _text(table, "csv")
 
 
 # one row; just under and over the array encoder's crossover; and one block
@@ -524,7 +539,7 @@ def test_writer_to_a_file_gives_the_bytes_of_the_text(tmp_path, rows, cols, fmt)
     path = tmp_path / f"out.{fmt}"
     with open(path, "w", encoding="utf-8") as fh:
         getattr(table, f"write_{fmt}")(fh)
-    assert path.read_bytes() == getattr(table, f"to_{fmt}")().encode()
+    assert path.read_bytes() == _text(table, fmt).encode()
 
 
 class _Writes:
@@ -544,7 +559,7 @@ def test_writer_never_holds_more_than_a_block(fmt, block):
     table = _writer_table(5000, 10)
     fh = _Writes()
     getattr(table, f"write_{fmt}")(fh)
-    assert sum(fh.sizes) == len(getattr(table, f"to_{fmt}")())
+    assert sum(fh.sizes) == len(_text(table, fmt))
     assert max(fh.sizes) <= block < sum(fh.sizes) / 10
 
 

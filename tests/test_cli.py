@@ -768,7 +768,9 @@ class TestSweepCommand:
 class TestSerialization:
     def test_csv_round_trips_doubles(self, config_path):
         table = run_polariton(load_config(config_path, "polariton"))
-        lines = table.to_csv().splitlines()
+        fh = io.StringIO()
+        table.write_csv(fh)
+        lines = fh.getvalue().splitlines()
         assert lines[0].startswith("n,")
         for row, line in zip(table.data.tolist(), lines[2:]):
             assert [float(x) for x in line.split(",")] == row
@@ -924,6 +926,8 @@ class TestMainEntry:
          "finite, got 0.0"),
         # a bad value is reported before a required key (here n_index) is found missing
         (["force", "mode=ar", "area_m2=nan"], "area_m2 must be positive and finite, got nan"),
+        # an error of a sweep's base config alone names no row
+        (["sweep", "force.t_left_k=300"], "give either in1 or t_left_k, not both"),
     ])
     def test_value_outside_its_domain_names_the_key(self, config_path, capsys, argv,
                                                     message):

@@ -203,6 +203,14 @@ class TestBeamForceLaw:
         r1_sq = abs(composite(stack, omega).R1) ** 2
         assert abs(ratio - r1_sq) < REL
 
+    def test_ratio_off_the_record_reflectance_trips_the_guard(self):
+        numbers = photon_numbers(LayerStack(1.0, 4.0, 1.0, 1e-7), 1.0 * EV / HBAR, 1.0, 0.0)
+        assert forces.beam_ratio(numbers) == numbers.R1_sq
+        moved = numbers._replace(R1_sq=numbers.R1_sq + 1e-6)
+        with pytest.raises(NumericalGuardError, match="^force ratio ") as info:
+            forces.beam_ratio(moved)
+        assert info.value.row == 0
+
     def test_rejects_unequal_outer_layers(self):
         with pytest.raises(ValueError):
             total_force_beam(LayerStack(1.0, 4.0, 2.0, 1e-6), 1.0 * EV / HBAR, 1.0, 1.0)
