@@ -1,7 +1,8 @@
 """Serialization stage: `ResultTable.to_json` and the writers on beam-force
-tables of 1, 500 and 5000 rows (10 columns).  The 1-row table lies below
-both array encoders' crossovers, so its cases show whether a small table
-still costs what per-value formatting costs.
+tables of 1, 500 and 5000 rows (10 columns), and `rerun_from_json` on the
+JSON text of 500, 5000 and 20 000 rows.  The 1-row table lies below both
+array encoders' crossovers, so its cases show whether a small table still
+costs what per-value formatting costs.
 
 Writing to a file is timed two ways: the whole text as a string followed by
 one write of it (`test_text_then_write`; `to_json()`, or `write_csv` into a
@@ -9,6 +10,8 @@ one write of it (`test_text_then_write`; `to_json()`, or `write_csv` into a
 into the open file (`test_writer_to_file`).  Each records in `extra_info`
 the tracemalloc peak of one call (the `peak_mb` fixture in conftest.py); the
 writer case records the peak of the text-then-write path beside its own.
+The rerun case records its peak too (the JSON read and the rerun's own
+table), and checks that the rerun writes its source text again.
 
     python -m pytest benchmarks/test_serialization.py \
         --benchmark-json=BENCH_<n>.json
@@ -23,7 +26,7 @@ import json
 
 import pytest
 
-from photonforces.cli import run_command
+from photonforces.cli import rerun_from_json, run_command
 
 BEAM = {
     "mode": "beam", "eps1": 1.0, "eps2": 4.0, "eps3": 1.0, "d2_m": 1e-6,
@@ -80,3 +83,13 @@ def test_writer_to_file(benchmark, table, fmt, tmp_path, peak_mb):
         _text_then_write(table, fmt, tmp_path / f"text.{fmt}"))
     benchmark(run)
     assert path.read_text() == _text(table, fmt)
+
+
+@pytest.fixture(scope="module", params=[500, 5000, 20000], ids=lambda rows: f"{rows}rows")
+def json_text(request):
+    return run_command("force", {**BEAM, "omega_points": request.param}).to_json()
+
+
+def test_rerun_from_json(benchmark, json_text, peak_mb):
+    benchmark.extra_info["peak_mb"] = peak_mb(lambda: rerun_from_json(json_text))
+    assert benchmark(rerun_from_json, json_text).to_json() == json_text

@@ -66,13 +66,15 @@ _POW_MIN = 16 - _EXP_MAX
 _SLOT = np.dtype({"names": ["sign", "lead", "digits", "exp", "sep"],
                   "formats": ["u1", "S2", "(4,)u4", "S5", "u1"]})
 _E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
+_E4 = np.uint32(10**4)
 _P10 = 10 ** np.arange(17, dtype=np.uint64)
 _DIGIT4_START = np.arange(0, 16, 4)
 _TINY = np.finfo(float).tiny  # the smallest normal double, 2**-1022
 # The JSON encoder's fixed cost per block is about 170 us and its cost per
 # value about 0.2 us, against 0.65 us per value for `repr` (measured on a
 # 2.1 GHz Xeon), so smaller blocks are written by `repr`.  The block size
-# bounds the encoder's memory, about 215 bytes per value.
+# bounds the encoder's memory, about 300 bytes per value: writing a 5000-row
+# table to a file peaks 0.314 MB above it (benchmarks/test_serialization.py).
 _JSON_MIN_VALUES = 400
 _JSON_BLOCK_VALUES = 1024
 _JSON_SEP, _JSON_END = ",\n      ", "\x01"
@@ -131,11 +133,17 @@ def _scale(x):
 def _digit_groups(d):
     """The lead digit of each 17-digit d, and its other 16 digits as four
     4-digit groups, both as indices into the lookup tables."""
-    lead, rest = np.divmod(d, _E16)
-    hi, lo = np.divmod(rest, _E8)
+    # `//` by a scalar takes numpy's fast integer division, which `divmod`
+    # does not; each remainder is then x - q * divisor, in uint32 below 1e8
+    lead = d // _E16
+    rest = d - lead * _E16
+    halves = np.empty((d.size, 2), np.uint32)  # the first and last 8 of the 16 digits
+    halves[:, 0] = hi = rest // _E8
+    halves[:, 1] = rest - hi * _E8
+    top = halves // _E4
     groups = np.empty((d.size, 4), np.intp)
-    groups[:, 0], groups[:, 1] = np.divmod(hi, np.uint64(10000))
-    groups[:, 2], groups[:, 3] = np.divmod(lo, np.uint64(10000))
+    groups[:, ::2] = top
+    groups[:, 1::2] = halves - top * _E4
     return lead.astype(np.intp), groups
 
 
@@ -305,7 +313,7 @@ class ResultTable:
         """Write the JSON text to the text file `fh`, a block of values at a
         time.  The blocks are views of `self.data`, copied only where one
         spans a column end, so the writer holds the table and one encoder
-        block (about 215 bytes per value)."""
+        block (about 300 bytes per value)."""
         # json.dumps with an indent runs its pure-Python encoder over every
         # float, so the data columns are written here in that encoder's
         # layout; the small parts keep json.dumps for escaping and key order

@@ -3,6 +3,8 @@
 import configparser
 import contextlib
 import errno
+import functools
+import gc
 import io
 import json
 import math
@@ -11,6 +13,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -765,6 +768,32 @@ class TestSweepCommand:
         )
 
 
+# what JSON text is made of, and some of what it is not
+_JSON_CHARS = list(' \t\r\n{}[]":,.-+eE019aNItrufl\\x\x01\u00e9')
+
+
+@functools.cache
+def _sweep_text():
+    """A sweep's JSON result, from the test config."""
+    sections = cli._plain_sections(CONFIG)
+    return run_command("sweep", cli._resolve("sweep", sections)).to_json()
+
+
+def _metadata_or_error(text, json_loads=False):
+    """The metadata that `cli._json_metadata` reads (or `json.loads`, with
+    its None for a payload that is no object), else its error and message;
+    as a repr, so that a nan compares equal."""
+    try:
+        if json_loads:
+            payload = json.loads(text)
+            md = payload.get("metadata") if isinstance(payload, dict) else None
+        else:
+            md = cli._json_metadata(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        return type(exc), str(exc)
+    return repr(md)
+
+
 class TestSerialization:
     def test_csv_round_trips_doubles(self, config_path):
         table = run_polariton(load_config(config_path, "polariton"))
@@ -809,6 +838,7 @@ class TestSerialization:
         ("sweep", ["base_params"], None, "sweep base [force] section missing"),
         ("force", [], [], "JSON result carries no embedded command/config"),
         ("force", None, [], "JSON result carries no embedded command/config"),
+        ("force", ["base_params"], {"junk": 1}, "unknown key(s) for force: base_params"),
     ])
     def test_rerun_checks_the_embedded_config(self, config_path, command, path, value,
                                               message):
@@ -840,6 +870,84 @@ class TestSerialization:
         metadata = json.loads(text)["metadata"]
         for payload in ({"metadata": metadata}, {"metadata": metadata, "data": "none"}):
             assert rerun_from_json(json.dumps(payload)).to_json() == text
+
+    @pytest.mark.parametrize("edit", [
+        "compact", "tabs and carriage returns", "metadata first", "metadata twice, real last",
+        "metadata twice, real first", "nan and infinity", "5000-digit integer", "trailing text",
+        "trailing comma", "bytes", "bytearray", "utf-16",
+    ])
+    def test_json_metadata_reads_as_json_loads(self, edit):
+        text = _sweep_text()
+        payload = json.loads(text)
+        md, big = payload["metadata"], "7" * 5000  # past int()'s default digit limit
+        edited = {
+            "compact": lambda: json.dumps(payload, separators=(",", ":")),
+            "tabs and carriage returns": lambda: text.replace("\n", "\r\n\t"),
+            "metadata first": lambda: json.dumps({"metadata": md, **payload}),
+            "metadata twice, real last": lambda: '{"metadata": {}, ' + text[1:],
+            "metadata twice, real first": lambda: text[:-3] + ', "metadata": 1}',
+            "nan and infinity": lambda: json.dumps(
+                {"data": [math.nan, math.inf, -math.inf], "metadata": md}),
+            "5000-digit integer": lambda: text.replace('"data": {', f'"data": {{"n": {big},', 1),
+            "trailing text": lambda: text + "]",
+            "trailing comma": lambda: text[:-3] + ",\n}\n",
+            "bytes": lambda: text.encode(),
+            "bytearray": lambda: bytearray(text.encode()),
+            "utf-16": lambda: text.encode("utf-16"),
+        }[edit]()
+        expected = 1 if edit == "metadata twice, real first" else md
+        errors = {"5000-digit integer": ValueError, "trailing text": json.JSONDecodeError,
+                  "trailing comma": json.JSONDecodeError}
+        assert _metadata_or_error(edited) == _metadata_or_error(edited, json_loads=True)
+        if edit in errors:
+            with pytest.raises(errors[edit]):
+                cli._json_metadata(edited)
+        else:
+            assert cli._json_metadata(edited) == expected
+
+    # an edit falls anywhere (a fraction of the text), or near one of the
+    # top-level newlines, before each key and the closing brace, where the
+    # read's own loop takes the punctuation
+    @given(edits=st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                                    st.floats(0, 1) | st.tuples(st.integers(0, 4),
+                                                                st.integers(-3, 14)),
+                                    st.sampled_from(_JSON_CHARS)),
+                          min_size=1, max_size=3))
+    @settings(max_examples=1000, deadline=None)
+    def test_json_metadata_agrees_with_json_loads_on_edited_payloads(self, edits):
+        # the read raises where json.loads does, with its error and message,
+        # and otherwise returns the same metadata
+        text = _sweep_text()
+        top = [m.start() for m in re.finditer(r'\n  "|\n}', text)]
+        assert len(top) == 5  # columns, data, metadata, units, then the "}"
+        for op, where, char in edits:
+            if isinstance(where, float):
+                i = int(where * len(text))
+            else:
+                i = min(max(top[where[0]] + where[1], 0), len(text))
+            text = text[:i] + {"delete": "", "insert": char + text[i:i + 1],
+                               "replace": char}[op] + text[i + 1:]
+        assert _metadata_or_error(text) == _metadata_or_error(text, json_loads=True)
+
+    def test_rerun_holds_at_most_two_and_a_half_tables(self):
+        # the data columns are scanned, not held as floats: the rerun's peak
+        # is its own run, where json.loads alone held about four tables
+        table = run_command("force", {
+            "mode": "beam", "eps1": 1.0, "eps2": 4.0, "eps3": 1.0, "d2_m": 1e-6,
+            "omega_min_ev": 0.5, "omega_max_ev": 2.5, "omega_points": 5000,
+            "in1": 1.0, "area_m2": 1.0,
+        })
+        text = table.to_json()
+        rerun_from_json(text)  # any first-call caches are built untraced
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rerun_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * table.data.nbytes
 
     def test_convention_is_read_in_lower_case(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
