@@ -10,7 +10,6 @@ from .cavity import (
     composite,
     fresnel,
     photon_numbers,
-    total_photon_number,
 )
 from .constants import C, EV, H, HBAR, KB
 from .errors import ConfigError, FeasibilityError, NumericalGuardError, PhotonForcesError
@@ -21,7 +20,6 @@ from .forces import (
     beam_ratio,
     force_density_decomposition,
     net_force_pressure,
-    pressure,
     reflector_force,
     total_force_beam,
 )
@@ -35,7 +33,6 @@ from .kinematics import (
     cev_check,
     general,
     mass_transfer_cube,
-    photon_momentum,
     solve_transmission,
 )
 from .table import ResultTable

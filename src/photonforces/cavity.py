@@ -6,16 +6,16 @@ which the composite coefficients take the form
 
     nu2 = 1 / (1 + r1*r2*e^{2 i k2 d2}),
     R1  = (r1 + r2*e^{2 i k2 d2}) * nu2,
-    T1  = t1*nu2,   T2 = t2,
+    T1  = t1*nu2,   T2 = t2,   k2 = n2*omega/c,
 
 and the directional photon numbers in each layer are linear in the two
 input occupations <n_1+> and <n_3->.  `photon_numbers` evaluates the stack
 once into the real record that every force term reads: these numbers,
-|R1|^2, (n3/n1)|T1 T2|^2 and the layer totals.  The intracavity numbers
-carry no phase: |nu2|^2 / Re[1 + 2 R1' R2 nu2 e^{2 i k2 d2}] is exactly
-1 / (1 - r1^2 r2^2), a per-stack constant computed in a cancellation-free
-product form.  For a lossless stack every output lies between the two
-inputs, so equal inputs are a fixed point.
+|R1|^2, (n3/n1)|T1 T2|^2 and the layer totals <n> = (<n+> + <n->)/2.  The
+intracavity numbers carry no phase: |nu2|^2 / Re[1 + 2 R1' R2 nu2
+e^{2 i k2 d2}] is exactly 1 / (1 - r1^2 r2^2), a per-stack constant
+computed in a cancellation-free product form.  For a lossless stack every
+output lies between the two inputs, so equal inputs are a fixed point.
 
 Every function broadcasts over numpy arrays of omega, of the input
 occupations and of the stack parameters themselves: one call evaluates a
@@ -56,10 +56,6 @@ class LayerStack:
         gap = 4.0 * n2 * (n1 * n3 + n2 * n2) * (n1 + n3)
         self.intracavity = outer * outer / gap
 
-    def k2(self, omega):
-        """Wavenumber inside the cavity layer, n2*omega/c (1/m)."""
-        return self.n2 * omega / C
-
 
 class InterfaceCoefficients(NamedTuple):
     """Single-interface amplitudes: left incidence (r, t), right (r_p, t_p)."""
@@ -94,7 +90,7 @@ def _phase_factor(stack, omega):
     # argument-reduction error for optically thick cavities.  The phase is
     # positive, so % is an exact fmod, and the shift by 2*pi is exact too
     # (Sterbenz).
-    phase = 2.0 * stack.k2(omega) * stack.d2 % _TWO_PI
+    phase = 2.0 * (stack.n2 * omega / C) * stack.d2 % _TWO_PI
     phase = phase - _TWO_PI * (phase > math.pi)
     return _plain(np.exp(1j * phase))
 
@@ -162,18 +158,9 @@ def photon_numbers(stack, omega, in1, in3):
         (n2 / n1) * (i1.t * i2.r) ** 2 * in1 + (n2 / n3) * i2.t_p**2 * in3
     ) * stack.intracavity
     n3p = t_sq * in1 + r1_sq * in3
-    totals = (total_photon_number(in1, n1m), total_photon_number(n2p, n2m),
-              total_photon_number(n3p, in3))
+    totals = 0.5 * (in1 + n1m), 0.5 * (n2p + n2m), 0.5 * (n3p + in3)
     return DirectionalPhotonNumbers(n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3,
                                     R1_sq=r1_sq, T_sq=t_sq, totals=totals)
-
-
-def total_photon_number(n_plus, n_minus):
-    """Total photon number of a homogeneous lossless layer: the equal-weight
-    average of the two directional values."""
-    if first_row((n_plus < 0) | (n_minus < 0)) is not None:
-        raise ValueError(f"photon numbers must be >= 0, got {n_plus}, {n_minus}")
-    return 0.5 * (n_plus + n_minus)
 
 
 def bose_einstein(omega, T):

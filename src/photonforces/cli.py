@@ -19,8 +19,9 @@ case and the mode as given.  A required key is missing only from a run that
 reads it, and only once every given value has passed.  Exit codes:
 2 config error, 3 physics infeasibility, 4 numerical-guard trip (a
 non-finite output included); any other exception is an internal error and
-exits 1 with a traceback.  A stdout whose reader
-closes early ends the run with exit 0 and no message.
+exits 1 with a traceback.  A stdout whose reader closes early ends the run
+with exit 0 and no message; any other stdout that cannot be written (a full
+device, a closed fd 1) exits 2.
 
 Each grid is evaluated as whole numpy columns in one pass; a sweep is one
 array call of its single-row base run, with the swept key set to all sweep
@@ -678,13 +679,17 @@ def main(argv=None):
                 raise ConfigError(message) from exc
         else:
             try:
+                if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                    raise ConfigError("cannot write to stdout: it is closed")
                 write(sys.stdout)
                 sys.stdout.flush()
-            except BrokenPipeError:  # the reader stopped early, as `| head` does
-                # so that the interpreter's final flush cannot fail too (exit 120)
+            except OSError as exc:
+                # devnull on fd 1, so that the interpreter's final flush cannot fail (exit 120)
                 devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
+                os.dup2(devnull, 1)
                 os.close(devnull)
+                if not isinstance(exc, BrokenPipeError):  # `| head` quitting early is no error
+                    raise ConfigError(f"cannot write to stdout: {exc.strerror}") from exc
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

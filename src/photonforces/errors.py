@@ -7,12 +7,11 @@ Exit-code mapping used by the CLI:
 Any other exception is an internal error (exit 1, with a traceback).
 
 A range check on an input goes through `require` and one of four domains,
-none of which admits nan or inf.  Only the sign checks of `forces.pressure`
-and `cavity.total_photon_number` let nan through, so that a nan made from an
-overflowing input reaches `ResultTable`'s non-finite guard (exit 4).  Library
-functions evaluate whole grids at once, so an error carries `row`: the first
-grid row that failed (0 for a scalar evaluation), which the CLI turns into
-the row and its value.
+none of which admits nan or inf.  What is computed from checked inputs is
+not range-checked again: a nan or inf that an overflow makes there reaches
+`ResultTable`'s non-finite guard (exit 4).  Library functions evaluate whole
+grids at once, so an error carries `row`: the first grid row that failed (0
+for a scalar evaluation), which the CLI turns into the row and its value.
 """
 
 import math

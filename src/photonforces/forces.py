@@ -16,9 +16,10 @@ route
 
     <F>_w = S * [P(x1) - P(x2)],   P = hbar*w*rho*(<n> + 1/2).
 
-Conventions fixed here (they cancel from every reported ratio):
+Conventions (they cancel from every reported ratio):
   * LDOS rho = n * RHO0, RHO0 = 1/(pi*c) (1D, both directions), read per call;
-  * layer total photon number = average of the two directional values.
+  * layer total photon number = average of the two directional values, as
+    in the `totals` of `photon_numbers`.
 Under these conventions the measured anti-reflective interface-force
 constant kappa is 1/2 rather than 1; see ar_interface_forces.
 
@@ -27,9 +28,9 @@ parameters (and the photon numbers computed over them) to evaluate a whole
 grid in one call.  The functions here are spectral (per rad/s); the force
 integrated over a frequency grid is the trapezoid of the CLI force table's
 net_pressure and net_impulse columns, which the `force` command records in
-its JSON metadata.  The CLI's pressure route is the private core of
-net_force_pressure: no positions (P is uniform in each outer layer), no
-check of S and no warning.
+its JSON metadata.  P is computed in one place, the private core of
+net_force_pressure, which is also the CLI's pressure route: no positions (P
+is uniform in each outer layer), no check of S and no warning.
 """
 
 import math
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import photon_numbers, total_photon_number
+from .cavity import photon_numbers
 from .constants import C, HBAR
 from .errors import INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require
 
@@ -48,13 +49,6 @@ RHO0 = 1.0 / (math.pi * C)
 
 def _rho(stack):
     return stack.n1 * RHO0, stack.n2 * RHO0, stack.n3 * RHO0
-
-
-def pressure(rho, n_total, omega):
-    """Spectral electromagnetic pressure hbar*omega*rho*(n_total + 1/2)."""
-    if first_row((rho < 0) | (n_total < 0) | (omega < 0)) is not None:
-        raise ValueError("pressure inputs must be nonnegative")
-    return HBAR * omega * rho * (n_total + 0.5)
 
 
 class InterfaceImpulses(NamedTuple):
@@ -118,7 +112,7 @@ def _net_pressure(stack, omega, totals, S):
     unchecked and silent (see the module docstring)."""
     rho1, _, rho3 = _rho(stack)
     n1t, _, n3t = totals
-    return S * (pressure(rho1, n1t, omega) - pressure(rho3, n3t, omega))
+    return S * (HBAR * omega * rho1 * (n1t + 0.5) - HBAR * omega * rho3 * (n3t + 0.5))
 
 
 def reflector_force(omega, in1, S):
@@ -176,12 +170,11 @@ def ar_interface_forces(n, omega, in1, S):
     require("omega", omega, POSITIVE)
     require("in1", in1, NONNEGATIVE)
     require("S", S, POSITIVE)
-    n_tot = total_photon_number(in1, 0.0)  # same in all three regions
-    rho_vac = RHO0
-    rho_slab = n * RHO0
+    n_tot = 0.5 * (in1 + 0.0)  # (n+ + n-)/2 with n- = 0, the same in all three regions
+    rho_slab = n * RHO0  # and RHO0 in the vacuum on either side
     # Beam part of the interface impulse: -hbar*w * Delta(rho * n_tot).
-    f1 = -S * HBAR * omega * (rho_slab - rho_vac) * n_tot
-    f2 = -S * HBAR * omega * (rho_vac - rho_slab) * n_tot
+    f1 = -S * HBAR * omega * (rho_slab - RHO0) * n_tot
+    f2 = -S * HBAR * omega * (RHO0 - rho_slab) * n_tot
     f0 = reflector_force(omega, in1, S)
     undefined = (n == 1) | (in1 == 0)  # kappa is 0/0 there
     # np.divide, so that an underflowed F0 gives nan for a float too, not ZeroDivisionError

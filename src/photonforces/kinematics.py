@@ -104,20 +104,6 @@ class PolaritonSolution(NamedTuple):
     exotic: bool = False
 
 
-def photon_momentum(photon, n, conv):
-    """Polariton momentum (kg*m/s) under the given convention.
-
-    Abraham: hbar*k0/n; Minkowski: n*hbar*k0; general: the prescribed p.
-    """
-    require("n", n, INDEX)
-    hk0 = HBAR * photon.k0
-    if conv.kind == "abraham":
-        return hk0 / n
-    if conv.kind == "minkowski":
-        return n * hk0
-    return conv.p
-
-
 def solve_transmission(photon, block, conv):
     """Solve the one-photon transmission model for a momentum convention.
 
@@ -128,22 +114,24 @@ def solve_transmission(photon, block, conv):
     n = block.n
     hw = photon.energy
     hk0 = HBAR * photon.k0
-    p = photon_momentum(photon, n, conv)
 
     # Analytic forms per convention avoid the catastrophic cancellation of
     # hbar*omega - c*p against the Mc^2-scale totals in the residual checks.
     p_f = hk0 / n
     if conv.kind == "abraham":
+        p = p_f
         E_d = 0.0
         E = hw
         p_d = 0.0
         vr_numerator = hw * (1.0 - 1.0 / n)
     elif conv.kind == "minkowski":
+        p = n * hk0
         E_d = (n * n - 1.0) * hw
         E = hw + E_d
         p_d = (n - 1.0 / n) * hk0
         vr_numerator = hw * (1.0 - n)
     else:
+        p = conv.p
         # E = n*p*c; forming delta_m first would round E away from 0 at the
         # feasibility boundary p = 0
         E = n * p * C

@@ -511,13 +511,13 @@ class TestForceCommand:
                                                                monkeypatch):
         # swapping the process-wide filter list, even inside catch_warnings,
         # races with concurrent runs and can leave a filter behind for good
-        pressure, seen = forces.pressure, []
+        net_pressure, seen = forces._net_pressure, []
 
         def recording(*args):
             seen.append(list(warnings.filters))
-            return pressure(*args)
+            return net_pressure(*args)
 
-        monkeypatch.setattr(forces, "pressure", recording)
+        monkeypatch.setattr(forces, "_net_pressure", recording)
         before = list(warnings.filters)
         assert main(["force", "--config", config_path, "--out", os.devnull, "mode=thermal",
                      "eps3=2.25", "in1=", "t_left_k=300", "t_right_k=0"]) == 0
@@ -1181,22 +1181,49 @@ class TestMainEntry:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
         assert proc.stdout == f"{code} 0\n"
 
+    @staticmethod
+    def cli_env():
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
     def test_closed_stdout_ends_with_exit_0(self, config_path):
         # a reader that stops after 100 bytes, as `| head -c 100` does, of
         # a table far larger than the pipe's buffer
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.Popen(
             [sys.executable, "-m", "photonforces.cli", "cavity", "--config", config_path,
              "omega_points=20000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.cli_env())
         head = proc.stdout.read(100)
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err == b""
         assert head.startswith(b"omega_ev,n1p,")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("points", ["1", "2000"])
+    def test_full_stdout_is_a_config_error(self, config_path, fmt, points):
+        # one row fails at the final flush, 2000 rows at the first full buffer;
+        # either way one message and exit 2, and the interpreter's own last
+        # flush adds neither exit 120 nor an "Exception ignored" line
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "photonforces.cli", "cavity", "--config", config_path,
+                 "--format", fmt, f"omega_points={points}"],
+                stdout=full, stderr=subprocess.PIPE, env=self.cli_env(), text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: config: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_stdout_closed_at_start_is_a_config_error(self, config_path):
+        # with fd 1 closed the interpreter starts with sys.stdout = None
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "photonforces.cli",
+             "cavity", "--config", config_path],
+            stderr=subprocess.PIPE, env=self.cli_env(), text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: config: cannot write to stdout: it is closed\n")
 
     def test_concurrent_calls_on_both_parse_paths_succeed(self, config_path):
         # parse_intermixed_args saves and restores state on its parser's
