@@ -13,6 +13,12 @@ writer case records the peak of the text-then-write path beside its own.
 The rerun case records its peak too (the JSON read and the rerun's own
 table), and checks that the rerun writes its source text again.
 
+`test_sweep_json` times `to_json()` and `write_json` to a file on two
+500-point sweep tables (11 columns): a beam-force sweep over `d2_m`, whose
+`omega_ev`, `zcf1` and `zcf2` columns hold one value, and a cavity sweep
+over `eps2`, whose `omega_ev`, `n1p` and `n3m` do.  `write_json` writes such
+a column as one value's text repeated, and encodes only the others.
+
     python -m pytest benchmarks/test_serialization.py \
         --benchmark-json=BENCH_<n>.json
 
@@ -93,3 +99,35 @@ def json_text(request):
 def test_rerun_from_json(benchmark, json_text, peak_mb):
     benchmark.extra_info["peak_mb"] = peak_mb(lambda: rerun_from_json(json_text))
     assert benchmark(rerun_from_json, json_text).to_json() == json_text
+
+
+SWEEPS = {
+    "beam_d2": {"base": "force", "parameter": "d2_m", "min": 2e-7, "max": 2e-6,
+                "base_params": {**BEAM, "omega_points": 1}},
+    "cavity_eps2": {"base": "cavity", "parameter": "eps2", "min": 2.0, "max": 12.0,
+                    "base_params": {"eps1": 1.0, "eps2": 4.0, "eps3": 1.0, "d2_m": 1e-6,
+                                    "omega_min_ev": 1.0, "in1": 1.0, "in3": 0.5,
+                                    "omega_points": 1}},
+}
+
+
+@pytest.fixture(scope="module", params=list(SWEEPS))
+def sweep_table(request):
+    return run_command("sweep", {**SWEEPS[request.param], "points": 500})
+
+
+@pytest.mark.parametrize("method", ["to_json", "write_json"])
+def test_sweep_json(benchmark, sweep_table, method, tmp_path, peak_mb):
+    path = tmp_path / "out.json"
+
+    def run():
+        if method == "to_json":
+            return sweep_table.to_json()
+        with open(path, "w") as fh:
+            sweep_table.write_json(fh)
+
+    benchmark.extra_info["peak_mb"] = peak_mb(run)
+    text = benchmark(run) or path.read_text()
+    data = json.loads(text)["data"]
+    for j, name in enumerate(sweep_table.columns):
+        assert data[name] == sweep_table.data[:, j].tolist()

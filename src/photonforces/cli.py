@@ -662,6 +662,27 @@ def _plain_args(argv):
     return args
 
 
+def _to_devnull(fd):
+    """Point `fd` at devnull, so that the interpreter's final flush of the
+    stream on it cannot fail (exit 120)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    if devnull != fd:  # a closed fd is the lowest free one, so it may come back here
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
+def _fail(message, code):
+    """Print `message` to stderr and return the exit `code`: a stderr that is
+    closed or full loses the message, not the code."""
+    try:
+        if sys.stderr is not None:  # else fd 2 was closed when the interpreter started
+            print(message, file=sys.stderr)
+            sys.stderr.flush()
+    except OSError:
+        _to_devnull(2)
+    return code
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
     args = _plain_args(argv) or vars(_build_parser().parse_intermixed_args(argv))
@@ -684,22 +705,16 @@ def main(argv=None):
                 write(sys.stdout)
                 sys.stdout.flush()
             except OSError as exc:
-                # devnull on fd 1, so that the interpreter's final flush cannot fail (exit 120)
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, 1)
-                os.close(devnull)
+                _to_devnull(1)
                 if not isinstance(exc, BrokenPipeError):  # `| head` quitting early is no error
                     raise ConfigError(f"cannot write to stdout: {exc.strerror}") from exc
         return 0
     except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: config: {exc}", 2)
     except FeasibilityError as exc:
-        print(f"error: feasibility: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"error: feasibility: {exc}", 3)
     except NumericalGuardError as exc:
-        print(f"error: numerical-guard: {exc}", file=sys.stderr)
-        return 4
+        return _fail(f"error: numerical-guard: {exc}", 4)
 
 
 if __name__ == "__main__":

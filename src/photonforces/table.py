@@ -38,7 +38,11 @@ of the interval lies within s * eps of a multiple of ten, or s within it of
 a rounding tie, or where |x| is subnormal or the smallest normal; so do
 blocks of fewer than `_JSON_MIN_VALUES` values, and every block where long
 double is too narrow or the byte order big-endian.  A marker byte after
-each column's last value is where the text is cut into columns.
+each column's last value is where the text is cut into columns.  A column
+of one value in every row, to the bit (a column of 0.0 with one -0.0
+varies), in a table of two rows or more, is not encoded: its `repr` is
+written repeated, `_JSON_BLOCK_VALUES` values at a time, between the other
+columns, so the writer still holds at most one block.
 """
 
 import functools
@@ -313,7 +317,10 @@ class ResultTable:
         """Write the JSON text to the text file `fh`, a block of values at a
         time.  The blocks are views of `self.data`, copied only where one
         spans a column end, so the writer holds the table and one encoder
-        block (about 300 bytes per value)."""
+        block (about 300 bytes per value).  With two rows or more, a column
+        whose values all have the same bits is written as its one value's
+        `repr`, repeated a block of values at a time, and only the other
+        columns are encoded; the writer still holds at most one block."""
         # json.dumps with an indent runs its pure-Python encoder over every
         # float, so the data columns are written here in that encoder's
         # layout; the small parts keep json.dumps for escaping and key order
@@ -324,27 +331,52 @@ class ResultTable:
 
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         names = [json.dumps(self.columns[j]) for j in order]
-        rows, size = len(self.data), self.data.size
+        rows = len(self.data)
         fh.write(f'{{\n  "columns": {nested(self.columns)},\n  "data": ')
-        if not size:  # no columns, or empty ones, as json.dumps writes them
+        if not self.data.size:  # no columns, or empty ones, as json.dumps writes them
             fh.write(nested(dict.fromkeys(self.columns, [])))
         else:
-            heads = iter([f"{{\n    {names[0]}: [\n      ",
-                          *[f"\n    ],\n    {name}: [\n      " for name in names[1:]],
-                          "\n    ]\n  }"])
-            fh.write(next(heads))
-            # the sorted columns, end to end; `_JSON_END` after each column's
-            # last value is where the next column's head goes
+            heads = [f"{{\n    {names[0]}: [\n      ",
+                     *[f"\n    ],\n    {name}: [\n      " for name in names[1:]],
+                     "\n    ]\n  }"]
+            # a column of one value, to the bit (-0.0 is not 0.0), is its
+            # text repeated, a block at a time; the others are encoded.  Only
+            # the columns whose ends agree are compared in full.
+            bits = self.data.view(np.uint64)
+            same = (bits[-1] == bits[0]) & (rows > 1)
+            same[same] = (bits[1:, same] == bits[0, same]).all(axis=0)
+            varying = [j for j in order if not same[j]]
+
+            def gaps():
+                # on each next(): the text up to the next varying column's
+                # first value, or to the end, with the constant columns between
+                fh.write(heads[0])
+                for k, j in enumerate(order):
+                    if same[j]:
+                        value = float.__repr__(float(self.data[0, j]))
+                        fh.write(value)
+                        for left in range(rows - 1, 0, -_JSON_BLOCK_VALUES):
+                            fh.write((_JSON_SEP + value) * min(left, _JSON_BLOCK_VALUES))
+                    else:
+                        yield
+                    fh.write(heads[k + 1])
+
+            gap = gaps()
+            next(gap, None)
+            # the varying columns, end to end; `_JSON_END` after each one's
+            # last value is where the next gap goes
+            size = rows * len(varying)
             for start in range(0, size, _JSON_BLOCK_VALUES):
                 stop = min(start + _JSON_BLOCK_VALUES, size)
-                parts = [self.data[max(start - k * rows, 0):stop - k * rows, order[k]]
+                parts = [self.data[max(start - k * rows, 0):stop - k * rows, varying[k]]
                          for k in range(start // rows, (stop - 1) // rows + 1)]
                 block = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 # the block's first column end is value (-start - 1) % rows
                 text, *rest = _json_values(block, (-start - 1) % rows, rows).split(_JSON_END)
                 fh.write(text)
                 for piece in rest:
-                    fh.writelines([next(heads), piece])
+                    next(gap, None)
+                    fh.write(piece)
         fh.write(f',\n  "metadata": {nested(self.metadata)},\n'
                  f'  "units": {nested(self.units)}\n}}\n')
 

@@ -439,18 +439,30 @@ _METADATA = st.dictionaries(_NAMES, st.recursive(
 ), max_size=4)
 
 
+def _json_column(rows):
+    """Drawn values; one value repeated; or one repeated but for one row."""
+    def one_differs(args):
+        value, other, i = args
+        return [value] * i + [other] + [value] * (rows - i - 1)
+
+    return st.one_of(
+        st.lists(_VALUES, min_size=rows, max_size=rows),
+        _VALUES.map(lambda value: [value] * rows),
+        st.tuples(_VALUES, _VALUES, st.integers(0, rows - 1)).map(one_differs) if rows
+        else st.just([]),
+    )
+
+
 @given(names=st.lists(_NAMES, unique=True, max_size=5), rows=st.integers(0, 20),
        metadata=_METADATA, draw=st.data())
 @settings(max_examples=200, deadline=None)
 def test_json_bytes_match_indent_encoder(names, rows, metadata, draw):
-    width = len(names)
-    values = draw.draw(st.lists(st.lists(_VALUES, min_size=width, max_size=width),
-                                min_size=rows, max_size=rows))
+    columns = [draw.draw(_json_column(rows)) for _ in names]
     units = [name[::-1] for name in names]
     table = ResultTable(columns=names, units=units, metadata=metadata,
-                        data=np.array(values, dtype=float).reshape(rows, width))
+                        data=np.array(columns, dtype=float).reshape(len(names), rows).T)
     payload = {"columns": names, "units": units, "metadata": metadata,
-               "data": {name: [row[j] for row in values] for j, name in enumerate(names)}}
+               "data": dict(zip(names, columns))}
     assert table.to_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -501,6 +513,47 @@ def _json_edge_values():
 
 def test_json_encoder_edge_values():
     text, want = _json_pair(_json_edge_values())
+    assert text == want
+
+
+# the sorted columns of each table: "c" one value in every row, "v" varying;
+# constant columns first, last and between runs of varying ones, and every
+# column constant
+_CONSTANT_PATTERNS = ["ccvvcvccvc", "vcv", "cvc", "ccc"]
+# each constant's `repr`: 5e-324, 1e16 and 9999999999999998.0 are exact-path
+# values of the encoder
+_CONSTANTS = [5e-324, 1e16, 9999999999999998.0, -0.0, 0.0, 0.1, -2.5e-310, 1e22, -3.0, 1e-5]
+
+
+# 0, 1 and 2 rows; then varying runs that end inside a block, on a block end
+# (512 rows, 2 columns a block) and across several blocks; and constant
+# columns of one block of separators and more (1025 and 2100 rows)
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 341, 512, 700, 1025, 2100])
+@pytest.mark.parametrize("pattern", _CONSTANT_PATTERNS)
+def test_json_constant_columns_match_indent_encoder(monkeypatch, pattern, rows):
+    rng = np.random.default_rng(rows)
+    shape = (rows, len(pattern))
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    constant = [j for j, kind in enumerate(pattern) if kind == "c"]
+    data[:, constant] = _CONSTANTS[:len(constant)]
+    encoded = []
+    values = table_module._json_values
+    monkeypatch.setattr(table_module, "_json_values",
+                        lambda x, *args: encoded.append(x.size) or values(x, *args))
+    text, want = _json_pair(data)
+    assert text == want
+    # a table of two rows or more encodes none of its constant columns
+    varying = len(pattern) - (len(constant) if rows > 1 else 0)
+    assert sum(encoded) == rows * varying
+
+
+@pytest.mark.parametrize("rows", [2, 5, 600])
+@pytest.mark.parametrize("value, other", [(0.0, -0.0), (-0.0, 0.0)])
+def test_json_zero_column_with_one_zero_of_the_other_sign(rows, value, other):
+    # the two zeros compare equal but are different values, so the column varies
+    data = np.full((rows, 2), value)
+    data[rows // 2, 1] = other
+    text, want = _json_pair(data)
     assert text == want
 
 
@@ -556,11 +609,15 @@ class _Writes:
 
 @pytest.mark.parametrize("fmt, block", [("csv", 256 * 10 * 25), ("json", 1024 * 32)])
 def test_writer_never_holds_more_than_a_block(fmt, block):
-    table = _writer_table(5000, 10)
-    fh = _Writes()
-    getattr(table, f"write_{fmt}")(fh)
-    assert sum(fh.sizes) == len(_text(table, fmt))
-    assert max(fh.sizes) <= block < sum(fh.sizes) / 10
+    # the second table has constant columns, whose JSON text is one value's
+    # repeated: 5000 rows of it are more than a block
+    constant = _writer_table(5000, 10)
+    constant.data[:, [3, 9]] = [0.1, -1.2345678901234567e-300]
+    for table in (_writer_table(5000, 10), constant):
+        fh = _Writes()
+        getattr(table, f"write_{fmt}")(fh)
+        assert sum(fh.sizes) == len(_text(table, fmt))
+        assert max(fh.sizes) <= block < sum(fh.sizes) / 10
 
 
 _GRID_CONFIG = """

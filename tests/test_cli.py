@@ -1225,6 +1225,34 @@ class TestMainEntry:
         assert (proc.returncode, proc.stderr) == (
             2, "error: config: cannot write to stdout: it is closed\n")
 
+    @pytest.mark.parametrize("stderr", [
+        "closed_at_start", "closed_later",
+        pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                      reason="no /dev/full")),
+    ])
+    @pytest.mark.parametrize("argv, code", [
+        (["cavity", "eps2=0.5"], 2),
+        (["polariton", "mass_kg=1e-40"], 3),
+        (["polariton", "energy_ev=1e-300"], 4),
+    ], ids=["config", "feasibility", "guard"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, config_path, argv, code, stderr):
+        # the message is lost, but neither the code nor stdout changes: with
+        # fd 2 closed at start sys.stderr is None; closed later, or on a full
+        # device, printing to it raises
+        argv = [argv[0], "--config", config_path, *argv[1:]]
+        script = ("import os, sys; os.close(2)\n"
+                  "from photonforces.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        cmd = {"closed_at_start": ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable,
+                                   "-m", "photonforces.cli", *argv],
+               "closed_later": [sys.executable, "-c", script, *argv],
+               "full": [sys.executable, "-m", "photonforces.cli", *argv]}[stderr]
+        with contextlib.ExitStack() as stack:
+            err = stack.enter_context(open("/dev/full", "w")) if stderr == "full" else None
+            proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=err, env=self.cli_env(),
+                                  text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, "")
+
     def test_concurrent_calls_on_both_parse_paths_succeed(self, config_path):
         # parse_intermixed_args saves and restores state on its parser's
         # actions, so calls at once must not share a parser: each argv that
