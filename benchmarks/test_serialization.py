@@ -19,6 +19,12 @@ table), and checks that the rerun writes its source text again.
 over `eps2`, whose `omega_ev`, `n1p` and `n3m` do.  `write_json` writes such
 a column as one value's text repeated, and encodes only the others.
 
+`test_json_values` times the JSON block encoder, `_json_values`, on
+mixed-exponent values: 64 of them, with the array path forced below its
+crossover, show its fixed cost per block, and a full block
+(`_JSON_BLOCK_VALUES`) its cost and scratch per value; `peak_mb` is one
+call's tracemalloc peak.
+
     python -m pytest benchmarks/test_serialization.py \
         --benchmark-json=BENCH_<n>.json
 
@@ -30,8 +36,10 @@ the same machine.
 import io
 import json
 
+import numpy as np
 import pytest
 
+from photonforces import table as table_module
 from photonforces.cli import rerun_from_json, run_command
 
 BEAM = {
@@ -131,3 +139,15 @@ def test_sweep_json(benchmark, sweep_table, method, tmp_path, peak_mb):
     data = json.loads(text)["data"]
     for j, name in enumerate(sweep_table.columns):
         assert data[name] == sweep_table.data[:, j].tolist()
+
+
+@pytest.mark.parametrize("size", ["64", "block"])
+def test_json_values(benchmark, size, monkeypatch, peak_mb):
+    n = 64 if size == "64" else table_module._JSON_BLOCK_VALUES
+    monkeypatch.setattr(table_module, "_JSON_MIN_VALUES", 0)
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    want = table_module._JSON_SEP.join(map(repr, x.tolist())) + table_module._JSON_END
+    assert table_module._json_values(x, n - 1, n) == want  # and the lookup tables are built
+    benchmark.extra_info["peak_mb"] = peak_mb(lambda: table_module._json_values(x, n - 1, n))
+    assert benchmark(table_module._json_values, x, n - 1, n) == want

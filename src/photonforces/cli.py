@@ -41,9 +41,12 @@ a separate value that does not start with `-`, with a valid --format and
 --jobs.  Any other argv (help, abbreviations, `--name=value`, `--`, any
 other token that starts with `-`, a missing --config or command, a bad
 value) is read by a new argparse parser, with its own messages and exit
-codes; argparse is imported only then, and calls share no parser.
+codes; argparse is imported only then, and calls share no parser.  With fd
+2 closed at start-up its messages go to devnull, not, as argparse would
+print them, to stdout.
 """
 
+import contextlib
 import io
 import math
 import os
@@ -662,6 +665,19 @@ def _plain_args(argv):
     return args
 
 
+def _parse(argv):
+    """`_plain_args(argv)`, or else argparse's reading of argv.  With fd 2
+    closed at start-up (`sys.stderr` is None) argparse would print an
+    error's usage text to stdout, into the data, so it gets devnull."""
+    args = _plain_args(argv)
+    if args is not None:
+        return args
+    if sys.stderr is not None:
+        return vars(_build_parser().parse_intermixed_args(argv))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
+        return vars(_build_parser().parse_intermixed_args(argv))
+
+
 def _to_devnull(fd):
     """Point `fd` at devnull, so that the interpreter's final flush of the
     stream on it cannot fail (exit 120)."""
@@ -685,7 +701,7 @@ def _fail(message, code):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
-    args = _plain_args(argv) or vars(_build_parser().parse_intermixed_args(argv))
+    args = _parse(argv)
     out = args["out"]
     try:
         params = load_config(args["config"], args["command"], args["overrides"])

@@ -31,18 +31,25 @@ shortest digits that read back as the value, the nearest to it if several
 are as short, in fixed notation for E in -4..15 and as `1e-05`/`1.5e+16`
 outside.  Every decimal within half the gap to each neighbouring double
 reads back as x; scaled like s, the candidates are the integers in that
-interval.  The one with the most trailing zeros sets the digit count, and
-the multiple of that power of ten nearest to s within the interval gives
-the digits.  A value takes the exact path, `float.__repr__`, where an end
-of the interval lies within s * eps of a multiple of ten, or s within it of
-a rounding tie, or where |x| is subnormal or the smallest normal; so do
-blocks of fewer than `_JSON_MIN_VALUES` values, and every block where long
-double is too narrow or the byte order big-endian.  A marker byte after
-each column's last value is where the text is cut into columns.  A column
-of one value in every row, to the bit (a column of 0.0 with one -0.0
-varies), in a table of two rows or more, is not encoded: its `repr` is
-written repeated, `_JSON_BLOCK_VALUES` values at a time, between the other
-columns, so the writer still holds at most one block.
+interval, which reaches at most 11.1 either side of s.  So the digits are
+the multiple of 100 in it if there is one (with its further trailing
+zeros counted), else the multiple of 10 nearest to s if that is in it,
+else s rounded.  A power of two, whose gap below is half the gap above,
+is given the narrower interval.  A value takes the exact path,
+`float.__repr__`, where an end of the interval lies within s * eps of the
+nearest multiple of 10 or 100, or s within it of a rounding tie, or where a
+power of two's wider interval may take in a multiple that the narrower
+does not, or where |x| is subnormal or the smallest normal; so do blocks of
+fewer than `_JSON_MIN_VALUES` values, and every block where long double is
+too narrow or the byte order big-endian.  The digits are read as 2-digit
+pairs into a 56-byte slot per value, each digit after a pad byte for the
+point, and one mask per place of the point and count of digits keeps the
+digits written and sets the point.  A marker byte after each column's last
+value is where the text is cut into columns.  A column of one value in
+every row, to the bit (a column of 0.0 with one -0.0 varies), in a table of
+two rows or more, is not encoded: its `repr` is written repeated,
+`_JSON_BLOCK_VALUES` values at a time, between the other columns, so the
+writer still holds at most one block.
 """
 
 import functools
@@ -60,7 +67,7 @@ _CSV_BLOCK_ROWS = 256
 # long double significand.
 _CSV_MIN_VALUES = 150
 _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
-# the JSON slot words are put together by shifts, in little-endian order
+# the JSON slots are put together from little-endian words
 _JSON_ARRAYS = _WIDE_LONG_DOUBLE and sys.byteorder == "little"
 # two roundings of at most half an ulp each, widened for the float64 product
 _BAND = 1.01 * float(np.finfo(np.longdouble).eps)
@@ -69,86 +76,130 @@ _EXP_MIN, _EXP_MAX = -325, 309
 _POW_MIN = 16 - _EXP_MAX
 _SLOT = np.dtype({"names": ["sign", "lead", "digits", "exp", "sep"],
                   "formats": ["u1", "S2", "(4,)u4", "S5", "u1"]})
-_E8, _E16, _E17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
-_E4 = np.uint32(10**4)
-_P10 = 10 ** np.arange(17, dtype=np.uint64)
-_DIGIT4_START = np.arange(0, 16, 4)
+_E16, _E17 = np.uint64(10**16), np.uint64(10**17)
+_P10 = np.array([1.0, 10.0, 100.0])
+_TENS = _P10[1:, None]
+_TENTHS = 1.0 / _TENS
+_P10_PAST = 10 ** np.arange(3, 17, dtype=np.uint64)
 _TINY = np.finfo(float).tiny  # the smallest normal double, 2**-1022
-# The JSON encoder's fixed cost per block is about 170 us and its cost per
-# value about 0.2 us, against 0.65 us per value for `repr` (measured on a
-# 2.1 GHz Xeon), so smaller blocks are written by `repr`.  The block size
-# bounds the encoder's memory, about 300 bytes per value: writing a 5000-row
-# table to a file peaks 0.314 MB above it (benchmarks/test_serialization.py).
-_JSON_MIN_VALUES = 400
-_JSON_BLOCK_VALUES = 1024
+# The JSON encoder's fixed cost per block is about 80 us and its cost per
+# value about 0.2 us, against 0.9 us per value for `repr` (measured on a
+# 2-core Xeon VM), so smaller blocks are written by `repr`.  The block size
+# bounds the encoder's memory, about 120 bytes per value: writing a 5000-row
+# table to a file peaks 0.44 MB above it (benchmarks/test_serialization.py).
+# 2560 is the largest size, in steps of 256, at which a perfbench
+# `roundtrip` op's peak stays at its floor of 0.585 MB (its texts and the
+# lookup tables) and a 5000-row JSON grid run below the 2.5 tables that
+# tests/test_arrays.py allows: 2816 takes them to 0.611 MB and 2.51 tables.
+_JSON_MIN_VALUES = 120
+_JSON_BLOCK_VALUES = 2560
 _JSON_SEP, _JSON_END = ",\n      ", "\x01"
+
+
+def _words(texts):
+    """Byte strings of at most 8 bytes as little-endian uint64 words."""
+    return np.array(texts, dtype="S8").view(np.uint64)
+
+
+@functools.cache
+def _pow10():
+    """10**k in long double from k = _POW_MIN, for `_scale`; parsed from
+    decimal strings, as `np.longdouble(10) ** k` is off by more than half
+    an ulp for some k."""
+    return np.array([f"1e{k}" for k in range(_POW_MIN, 17 - _EXP_MIN)], dtype=np.longdouble)
 
 
 @functools.cache
 def _tables():
-    """The encoders' lookup tables, built on their first use, so that neither
-    an import nor a call that writes only small tables pays for them:
-    10**k in long double from k = _POW_MIN, each 4-digit group as the 4
-    bytes of a uint32, "d." per lead digit, and the exponent text from
-    E = _EXP_MIN; then the JSON slot words (see `_json_slots`): sign,
-    "0.000"-style prefix and lead digit per (prefix, sign, lead), the masks
-    that keep the first 0-4 digits of a group, the exponent text per E from
-    _EXP_MIN then an empty one, and the separator then the column end."""
-    # parsed from decimal strings: `np.longdouble(10) ** k` is off by more
-    # than half an ulp for some k
-    pow10 = np.array([f"1e{k}" for k in range(_POW_MIN, 17 - _EXP_MIN)], dtype=np.longdouble)
+    """The CSV encoder's lookup tables, built on their first use, so that
+    neither an import nor a call that writes only small tables or only JSON
+    pays for them: 10**k (`_pow10`), each 4-digit group as the 4 bytes of a
+    uint32, "d." per lead digit, and the exponent text from E = _EXP_MIN."""
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digit4 = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
     lead = np.array([f"{d}." for d in range(10)], dtype="S2")
     exp = np.array([f"e{e:+03d}" for e in range(_EXP_MIN, _EXP_MAX + 1)], dtype="S5")
-    heads = np.array([(sign + prefix.ljust(5, "\0") + str(d)).encode()
-                      for prefix in ("", "0.", "0.0", "0.00", "0.000")
-                      for sign in ("\0", "-") for d in range(10)], dtype="S8")
-    masks = np.array([(1 << 8 * cut) - 1 for cut in range(5)], dtype=np.uint32)
-    tails = np.append(exp, b"").astype("S8")
-    seps = np.array([_JSON_SEP, _JSON_END], dtype="S8")
-    return (pow10, digit4, lead, exp,
-            heads.view(np.uint64), masks, tails.view(np.uint64), seps.view(np.uint64))
+    return _pow10(), digit4, lead, exp
+
+
+@functools.cache
+def _json_tables():
+    """The JSON encoder's lookup tables, built on their first use; small, as
+    a run holds them from its first JSON block on.  Per E from _EXP_MIN:
+    the digits after the lead digit that fixed notation from 1 keeps at
+    least ("1.0", "100.0"); 17 times the point code, 1 + the digit the
+    point follows (the lead digit is digit 0: fixed notation from 1, and
+    scientific notation with more than one digit), 0 for none; 22 times
+    the prefix kind, -E in fixed notation below 1 ("0." and -E - 1 zeros),
+    else 0; the exponent text of scientific notation.  Then the slot heads
+    per (prefix kind, sign, lead digit or 10 for D = 1e17); the digits of
+    each 2-digit pair, each after a pad byte of 0xff; the masks of the
+    eight pairs per (point code, digits kept after the lead): 0xff on each
+    digit kept, the point on its pad byte; and the separator words."""
+    exps = np.arange(_EXP_MIN, _EXP_MAX + 1)
+    fixed = (exps >= -4) & (exps <= 15)
+    whole = fixed & (exps >= 0)
+    fill = np.where(whole, exps + 1, 0).astype(np.uint8)
+    point = np.where(whole, exps + 1, ~fixed).astype(np.uint16) * 17
+    prefix = np.where(fixed & (exps < 0), -exps * 22, 0).astype(np.uint8)
+    tails = _words([b"" if f else f"e{e:+03d}".encode() for e, f in zip(exps, fixed)])
+    heads = _words([(sign + ("0." + "0" * (kind - 1) if kind else "").ljust(5, "\0")
+                     + str(d)[0]).encode()
+                    for kind in range(5) for sign in ("\0", "-") for d in range(11)])
+    pairs = np.full((100, 4), 0xFF, np.uint8)
+    pairs[:, 1::2] = np.transpose(np.divmod(np.arange(100), 10)) + ord("0")
+    masks = np.zeros((17, 17, 16, 2), np.uint8)  # code, kept, digit, (pad, digit)
+    masks[:, :, :, 1] = np.where(np.arange(16) < np.arange(17)[:, None], 0xFF, 0)
+    masks[np.arange(1, 17), :, np.arange(16), 0] = ord(".")
+    masks[np.arange(17)[:, None] > np.arange(17), :, 0] = 0  # no point before no digit
+    masks = masks.reshape(17 * 17, 8, 4).view(np.uint32)[..., 0].T.copy()
+    seps = _words([_JSON_SEP.encode(), _JSON_END.encode()])
+    return fill, point, prefix, tails, heads, pairs.view(np.uint32).ravel(), masks, seps
 
 
 def _scale(x):
     """Each |x| scaled to 17 integer digits, for both encoders: returns |x|
-    (zeros read as 1.0), the zero mask, E = floor(log10|x|), the integer
-    part d of s = |x| * 10**(16 - E) in long double, in [1e16, 1e17) unless
-    the one correction of E falls short, and s - d as float64."""
-    pow10 = _tables()[0]
-
-    def scaled(a, e):
-        s = a.astype(np.longdouble) * pow10[16 - _POW_MIN - e]
-        return s, s.astype(np.uint64)
-
+    (zeros read as 1.5: E = 0, and not a power of two), the zero mask,
+    k = E - _EXP_MIN for E = floor(log10|x|), as int16, the integer part d
+    of s = |x| * 10**(16 - E) in long double, in [1e16, 1e17), and s - d as
+    float64.  Where the one correction of E falls short, |x| reads as the
+    smallest normal, which the JSON encoder leaves undecided."""
+    pow10 = _pow10()
     a = np.abs(x)
     zero = a == 0.0
-    a[zero] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    s, d = scaled(a, e)
-    fix = np.flatnonzero((d < _E16) | (d >= _E17))
+    np.putmask(a, zero, 1.5)
+    # the sum is positive, so the cast floors it: one too high at most, next
+    # to a power of ten, where d reaches 1e17 or stays below 1e16
+    k = np.subtract(np.log10(a), _EXP_MIN, out=np.empty(x.size, np.int16), casting="unsafe")
+    s = pow10.take(16 - _POW_MIN - _EXP_MIN - k)
+    s *= a
+    d = s.astype(np.uint64)
+    fix = (d - _E16 >= _E17 - _E16).nonzero()[0]  # below 1e16 wraps round
     if fix.size:
-        e[fix] += np.where(d[fix] < _E16, -1, 1)
-        s[fix], d[fix] = scaled(a[fix], e[fix])
-    return a, zero, e, d, (s - d.astype(np.longdouble)).astype(np.float64)
+        k[fix] += np.where(d[fix] < _E16, -1, 1).astype(np.int16)
+        s[fix] = pow10.take(16 - _POW_MIN - _EXP_MIN - k[fix]) * a[fix]
+        d[fix] = s[fix]
+        a[fix[d[fix] - _E16 >= _E17 - _E16]] = _TINY
+    s -= d
+    return a, zero, k, d, s.astype(np.float64)
 
 
-def _digit_groups(d):
-    """The lead digit of each 17-digit d, and its other 16 digits as four
-    4-digit groups, both as indices into the lookup tables."""
+def _digit_groups(d, width):
+    """The lead digit of each 17-digit d, and its other 16 digits in groups
+    of `width`, 4 or 2, one row per group: indices into the lookup tables."""
     # `//` by a scalar takes numpy's fast integer division, which `divmod`
-    # does not; each remainder is then x - q * divisor, in uint32 below 1e8
+    # does not; each remainder is then x - q * divisor
     lead = d // _E16
-    rest = d - lead * _E16
-    halves = np.empty((d.size, 2), np.uint32)  # the first and last 8 of the 16 digits
-    halves[:, 0] = hi = rest // _E8
-    halves[:, 1] = rest - hi * _E8
-    top = halves // _E4
-    groups = np.empty((d.size, 4), np.intp)
-    groups[:, ::2] = top
-    groups[:, 1::2] = halves - top * _E4
-    return lead.astype(np.intp), groups
+    groups = (d - lead * _E16)[None]
+    while len(groups) < 16 // width:  # each group split in two
+        size = 10 ** (8 // len(groups))
+        top = groups // size
+        split = np.empty((2 * len(groups), d.size), np.min_scalar_type(size))
+        split[::2] = top
+        top *= size
+        np.subtract(groups, top, out=split[1::2], casting="unsafe")
+        groups = split
+    return lead, groups
 
 
 def _csv_rows(block):
@@ -157,24 +208,24 @@ def _csv_rows(block):
     if block.size < _CSV_MIN_VALUES or not _WIDE_LONG_DOUBLE:
         fmt = ",".join(["%.16e"] * cols) + "\n"
         return "".join([fmt % tuple(row) for row in block.tolist()])
-    _, digit4, lead_text, exp_text, *_ = _tables()
+    _, digit4, lead_text, exp_text = _tables()
     x = block.ravel()
-    _, zero, e, d, frac = _scale(x)
+    _, zero, k, d, frac = _scale(x)
     exact = np.abs(frac - 0.5) <= d * _BAND
     d += frac > 0.5
     exact |= (d < _E16) | (d >= _E17)
     exact &= ~zero
-    # zeros print as 0.0000000000000000e+00 (`_scale` reads them as 1.0, so
+    # zeros print as 0.0000000000000000e+00 (`_scale` reads them as 1.5, so
     # E = 0); the exact path overwrites its slots, and D = 0 keeps their
     # lead digit in the table
     d[exact | zero] = 0
 
     out = np.empty(x.size, _SLOT)
     out["sign"] = np.signbit(x) * ord("-")
-    lead, groups = _digit_groups(d)
-    out["lead"] = lead_text[lead]
-    out["digits"] = digit4[groups]
-    out["exp"] = exp_text[e - _EXP_MIN]
+    lead, groups = _digit_groups(d, 4)
+    out["lead"] = lead_text.take(lead)
+    out["digits"] = digit4.take(groups).T
+    out["exp"] = exp_text.take(k)
     out["sep"] = ord(",")
     out.reshape(rows, cols)["sep"][:, -1] = ord("\n")
     text = out.view(np.uint8).reshape(x.size, _SLOT.itemsize)
@@ -187,88 +238,99 @@ def _csv_rows(block):
 
 def _shortest(x):
     """The shortest digits that read back as each x, as `float.__repr__`
-    picks them: (D, E, n, exact), where the first n of D's 17 digits times
-    10**(E - 16) is |x| (D = 0 for a zero), and `exact` marks the values
-    this cannot decide."""
-    a, zero, e, d, frac = _scale(x)
+    picks them: (D, k, m, exact), where D's lead digit and its next m
+    digits, times 10**(E - 16) for E = k + _EXP_MIN, are |x| (D = 0 for a
+    zero; a rounding carry leaves D = 1e17, whose lead digit 10 stands for
+    1, with k already one higher), and `exact` marks the values this
+    cannot decide, whose D is 0."""
+    a, zero, k, d, frac = _scale(x)
     # Every decimal within half the gap to each neighbouring double reads
-    # back as x: scaled like s = d + frac, the integers from s - below up to
-    # s + above (top - width to top).  The digits are the one of those with
-    # the most trailing zeros, the nearest to s if several have as many.
-    # Past a power of two the gap above is twice the gap below.
-    band = d * _BAND
-    below = d * ((a - np.nextafter(a, 0.0)) / a) * 0.5
-    upper, lower = frac + below + below * (np.frexp(a)[0] == 0.5), frac - below
-    # undecided: a subnormal or the smallest normal (its gaps are not
-    # scaled like this), and an interval end within the band of a multiple
-    # of ten, which it may or may not include
-    exact = (a <= _TINY) | (d < _E16) | (d >= _E17)
-    tens = ((d % np.uint64(10)).astype(np.float64) + np.stack([upper, lower])) * 0.1
-    tens -= np.rint(tens)
-    exact |= (np.abs(tens) <= band * 0.1).any(axis=0)
-    upper = np.floor(upper)
-    top = d + upper.astype(np.uint64)
-    width = (upper - np.ceil(lower)).astype(np.uint64)
-    # j trailing digits drop where top % 10**j <= width; the width is below
-    # 100, so j >= 2 needs top % 100 <= width and then j - 2 zeros in top // 100
-    j = (top % np.uint64(10) <= width).astype(np.intp)
-    live = np.flatnonzero(top % np.uint64(100) <= width)
-    rest = (top[live] // np.uint64(100))[:, None]
-    j[live] = 2 + np.count_nonzero(rest % _P10[1:15] == 0, axis=1)
-    p = _P10[j]
-    r = d % p
-    low = r + frac  # s less the multiple of 10**j below it
-    exact |= np.abs(low - p * 0.5) <= band  # a tie between two multiples
-    # up to the multiple above where it is nearer, or where the one below
-    # lies past a power of two's narrower gap
-    d += ((low > p * 0.5) | (low > below)) * p - r  # in uint64, - r wraps and d wraps back
-    carry = d == _E17
-    d[carry] = _E16
-    e[carry] += 1
-    d[exact | zero] = 0
-    return d, e, 17 - j, exact
+    # back as x: scaled like s = d + frac, the integers from s - half to
+    # s + half.  The digits are the one of those with the most trailing
+    # zeros, the nearest to s if several have as many.  Undecided: a
+    # subnormal or the smallest normal, whose gaps are not scaled like this.
+    m, _ = np.frexp(a)
+    exact = a <= _TINY
+    # a power of two: the gap below is half the gap above; taken here is
+    # the narrower interval, s -+ half the gap below
+    two = (m == 0.5).nonzero()[0]
+    m[two] = 1.0
+    half = np.divide(d, m, out=m)
+    half *= 2.0**-54
+    band = np.multiply(d, _BAND, out=a)
+    # t: s less the multiple of 100 at or below it, which d becomes; as
+    # half is 11.1 at most, one multiple of 100 at most lies within it
+    low = d % 100
+    d -= low
+    t = frac
+    t += low
+    # the distances from t to the nearest multiple of 10 and of 100
+    near = t * _TENTHS
+    near -= np.rint(near)
+    np.abs(near, out=near)
+    near *= _TENS
+    inside = near <= half
+    if two.size:  # undecided: one that the wider interval may take in too
+        wide = near[:, two] - half[two]
+        exact[two] |= ((wide > 0.0) & (wide < half[two] + band[two])).any(axis=0)
+    # undecided: an interval end within the band of one of them, which it
+    # may or may not include
+    near -= half
+    np.abs(near, out=near)
+    np.minimum(near[0], near[1], out=near[0])
+    # j = 0, 1 or 2 and more trailing zeros: the nearest multiple of 10**j,
+    # and a tie between two of them
+    j = inside[0].view(np.uint8) + inside[1]
+    p = _P10.take(j)
+    r = np.divide(t, p, out=near[1])
+    np.rint(r, out=r)
+    r *= p
+    t -= r
+    np.abs(t, out=t)
+    p *= 0.5
+    p -= t
+    np.minimum(near[0], p, out=p)
+    exact |= p < band
+    d += r.astype(np.uint64)
+    # the zeros past those of a multiple of 100, where there are more
+    live = inside[1].nonzero()[0]
+    live = live[d[live] % 1000 == 0]
+    if live.size:
+        j[live] += np.add.reduce(d[live, None] % _P10_PAST == 0, axis=1, dtype=np.uint8)
+    np.putmask(d, exact | zero, 0)
+    k += d == _E17
+    return d, k, 16 - j, exact
 
 
 def _json_slots(x, first, rows):
-    """Each value of a 1-D block as 56 bytes, `\\0` where nothing goes:
-    sign, prefix and lead digit; the other 16 digits in groups of 4, a pad
-    byte after each; the exponent; the separator, `_JSON_END` for the
-    values from `first` on in steps of `rows`.  Of the 16 digits, the first
-    `kept` are written, and a point in the pad byte after digit `e` (fixed
-    notation, |x| >= 1 or zero) or after the lead digit (scientific notation
-    with more than one digit).  Exact-path values hold their `repr`."""
-    _, digit4, _, _, heads, masks, tails, seps = _tables()
-    d, e, n, exact = _shortest(x)
-    sci = (e < -4) | (e > 15)
-    point = ~sci & (e >= 0)
-    kept = np.where(point, np.maximum(n, e + 2), n) - 1  # "1.0" keeps a zero
+    """Each value of a 1-D block as 56 bytes (7 words), `\\0` where nothing
+    goes: sign, "0.000"-style prefix and lead digit; the other 16 digits,
+    each after a pad byte for a point, of which the first `kept` are
+    written (those of `float.__repr__` after its lead digit, to at least
+    digit E + 1 in fixed notation from 1); the exponent; the separator,
+    `_JSON_END` for the values from `first` on in steps of `rows`.
+    Exact-path values hold their `repr`."""
+    fill, point, prefix, tails, heads, pair_text, masks, seps = _json_tables()
+    d, k, kept, exact = _shortest(x)
+    lead, pairs = _digit_groups(d, 2)
+    head = heads.take(prefix.take(k) + np.signbit(x) * np.uint8(11) + lead)
+    del d, lead  # as the block size is set by the peak memory
+    np.maximum(kept, fill.take(k), out=kept)
+    words = pair_text.take(pairs)
+    del pairs
+    words &= masks.take(point.take(k) + kept, axis=1)
     out = np.empty((x.size, 7), np.uint64)
-    lead, group = _digit_groups(d)
-    prefix = np.where(sci | point, 0, -e)  # "0." and -e - 1 zeros below 1 in fixed notation
-    out[:, 0] = heads[(prefix * 2 + np.signbit(x)) * 10 + lead]
-    # each 4-digit group cut to the digits kept, then its bytes spread to
-    # every other byte of a word (little-endian); in place, as a block's
-    # size is set by its peak memory
-    group = digit4[group]
-    cut = kept[:, None] - _DIGIT4_START
-    group &= masks[np.clip(cut, 0, 4, out=cut)]
-    group = group.astype(np.uint64)
-    group |= group << np.uint64(16)
-    group &= np.uint64(0x0000FFFF0000FFFF)
-    group |= group << np.uint64(8)
-    out[:, 1:5] = group & np.uint64(0x00FF00FF00FF00FF)
-    out[:, 5] = tails[np.where(sci, e - _EXP_MIN, -1)]
+    out[:, 0] = head
+    out.view(np.uint32)[:, 2:10] = words.T
+    del head, words
+    out[:, 5] = tails.take(k)
     out[:, 6] = seps[0]
     out[first::rows, 6] = seps[1]
-    text = out.view(np.uint8)
-    # the pad byte after digit k (the lead digit is digit 0) is byte 7 + 2k
-    dotted = np.flatnonzero(point | sci & (n > 1))
-    text.reshape(-1)[dotted * text.shape[1] + 7 + 2 * np.where(point, e, 0)[dotted]] = ord(".")
-    idx = np.flatnonzero(exact)
+    idx = exact.nonzero()[0]
     if idx.size:
         exact_text = np.array([repr(v) for v in x[idx].tolist()], dtype="S48")
-        text[idx, :48] = exact_text.view(np.uint8).reshape(idx.size, 48)
-    return text
+        out.view(np.uint8)[idx, :48] = exact_text.view(np.uint8).reshape(idx.size, 48)
+    return out
 
 
 def _json_values(x, first, rows):
@@ -317,22 +379,26 @@ class ResultTable:
         """Write the JSON text to the text file `fh`, a block of values at a
         time.  The blocks are views of `self.data`, copied only where one
         spans a column end, so the writer holds the table and one encoder
-        block (about 300 bytes per value).  With two rows or more, a column
+        block (about 120 bytes per value).  With two rows or more, a column
         whose values all have the same bits is written as its one value's
         `repr`, repeated a block of values at a time, and only the other
         columns are encoded; the writer still holds at most one block."""
         # json.dumps with an indent runs its pure-Python encoder over every
-        # float, so the data columns are written here in that encoder's
-        # layout; the small parts keep json.dumps for escaping and key order
+        # value, so the data columns, and the columns and units lists, are
+        # written here in that encoder's layout, each string by the C one;
+        # the metadata keeps json.dumps for key order and nesting
         import json  # here only: a CSV run never loads it
 
         def nested(obj):
             return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
 
+        def strings(texts):
+            return "[\n    " + ",\n    ".join(map(json.dumps, texts)) + "\n  ]" if texts else "[]"
+
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         names = [json.dumps(self.columns[j]) for j in order]
         rows = len(self.data)
-        fh.write(f'{{\n  "columns": {nested(self.columns)},\n  "data": ')
+        fh.write(f'{{\n  "columns": {strings(self.columns)},\n  "data": ')
         if not self.data.size:  # no columns, or empty ones, as json.dumps writes them
             fh.write(nested(dict.fromkeys(self.columns, [])))
         else:
@@ -378,7 +444,7 @@ class ResultTable:
                     next(gap, None)
                     fh.write(piece)
         fh.write(f',\n  "metadata": {nested(self.metadata)},\n'
-                 f'  "units": {nested(self.units)}\n}}\n')
+                 f'  "units": {strings(self.units)}\n}}\n')
 
     def to_json(self):
         """The JSON text as a string, kept for the reruns that compare it

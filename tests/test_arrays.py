@@ -526,9 +526,10 @@ _CONSTANTS = [5e-324, 1e16, 9999999999999998.0, -0.0, 0.0, 0.1, -2.5e-310, 1e22,
 
 
 # 0, 1 and 2 rows; then varying runs that end inside a block, on a block end
-# (512 rows, 2 columns a block) and across several blocks; and constant
-# columns of one block of separators and more (1025 and 2100 rows)
-@pytest.mark.parametrize("rows", [0, 1, 2, 3, 341, 512, 700, 1025, 2100])
+# (a quarter block of rows, 4 varying columns) and across several blocks;
+# and constant columns of more separators than a block (a block and 2 rows)
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 341, 512, 700, 1025, 2100, _JSON_BLOCK // 4,
+                                  _JSON_BLOCK + 2])
 @pytest.mark.parametrize("pattern", _CONSTANT_PATTERNS)
 def test_json_constant_columns_match_indent_encoder(monkeypatch, pattern, rows):
     rng = np.random.default_rng(rows)
@@ -571,10 +572,12 @@ def test_json_encoder_decides_most_values_itself():
 
 
 # (rows, columns): empty tables, a CSV block of 256 rows and its neighbours,
-# JSON blocks of 1024 values and their neighbours (a column end on a block
-# end and either side of it), and a table of many blocks of each
+# column ends just before, on and just past 1024 values, a JSON block of
+# values and its neighbours (a column end on a block end and either side of
+# it), and a table of many blocks of each
 _WRITER_SHAPES = [(0, 0), (3, 0), (0, 3), (1, 1), (1, 10), (255, 4), (256, 4), (257, 4),
-                  (1023, 1), (1024, 1), (1025, 1), (341, 3), (512, 2), (205, 5), (5000, 10)]
+                  (1023, 1), (1024, 1), (1025, 1), (341, 3), (512, 2), (205, 5),
+                  (_JSON_BLOCK - 1, 1), (_JSON_BLOCK, 1), (_JSON_BLOCK + 1, 1), (5000, 10)]
 
 
 def _writer_table(rows, cols):
@@ -607,7 +610,7 @@ class _Writes:
             self.write(text)
 
 
-@pytest.mark.parametrize("fmt, block", [("csv", 256 * 10 * 25), ("json", 1024 * 32)])
+@pytest.mark.parametrize("fmt, block", [("csv", 256 * 10 * 25), ("json", _JSON_BLOCK * 32)])
 def test_writer_never_holds_more_than_a_block(fmt, block):
     # the second table has constant columns, whose JSON text is one value's
     # repeated: 5000 rows of it are more than a block
@@ -618,6 +621,24 @@ def test_writer_never_holds_more_than_a_block(fmt, block):
         getattr(table, f"write_{fmt}")(fh)
         assert sum(fh.sizes) == len(_text(table, fmt))
         assert max(fh.sizes) <= block < sum(fh.sizes) / 10
+
+
+def test_json_encoder_scratch_per_value_is_pinned():
+    # one call on a full block of mixed-exponent values peaks 116.5 bytes a
+    # value above its input (the slots and their bytes, as the pad bytes are
+    # deleted); the bound leaves a margin of 10%
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal(_JSON_BLOCK) * 10.0 ** rng.integers(-30, 30, _JSON_BLOCK)
+    table_module._json_values(x, _JSON_BLOCK - 1, _JSON_BLOCK)  # lookup tables built untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table_module._json_values(x, _JSON_BLOCK - 1, _JSON_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * _JSON_BLOCK
 
 
 _GRID_CONFIG = """

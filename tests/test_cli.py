@@ -1253,6 +1253,20 @@ class TestMainEntry:
                                   text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (code, "")
 
+    def test_argparse_error_with_stderr_closed_at_start_keeps_stdout_empty(
+            self, config_path, monkeypatch, capsys):
+        # with fd 2 closed at start-up sys.stderr is None, and argparse would
+        # print an error's usage text to stdout; --help still prints there
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["cavity", "--config", config_path, "--flag"])
+        assert (exc.value.code, capsys.readouterr().out) == (2, "")
+        assert sys.stderr is None
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: photonforces")
+
     def test_concurrent_calls_on_both_parse_paths_succeed(self, config_path):
         # parse_intermixed_args saves and restores state on its parser's
         # actions, so calls at once must not share a parser: each argv that
