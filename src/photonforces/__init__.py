@@ -4,11 +4,9 @@ lossless three-layer cavity structures."""
 from .cavity import (
     CompositeCoefficients,
     DirectionalPhotonNumbers,
-    InterfaceCoefficients,
     LayerStack,
     bose_einstein,
     composite,
-    fresnel,
     photon_numbers,
 )
 from .constants import C, EV, H, HBAR, KB

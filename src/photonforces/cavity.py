@@ -1,4 +1,4 @@
-"""Lossless three-layer Fabry-Perot stack: Fresnel data and photon numbers.
+"""Lossless three-layer Fabry-Perot stack: interface amplitudes and photon numbers.
 
 Normal incidence, single polarization (TE and TM coincide at theta = 0).
 Interface amplitudes follow the convention r' = -r, t*t' - r*r' = 1, under
@@ -19,7 +19,9 @@ output lies between the two inputs, so equal inputs are a fixed point.
 
 Every function broadcasts over numpy arrays of omega, of the input
 occupations and of the stack parameters themselves: one call evaluates a
-whole grid.  The Fresnel coefficients are computed once per stack.
+whole grid.  `LayerStack` computes the left-incidence interface amplitudes
+r1, t1, r2, t2 once per stack; `photon_numbers` forms the one
+right-incidence amplitude it needs, t2'.
 """
 
 import math
@@ -36,12 +38,14 @@ _TWO_PI = 2.0 * math.pi
 class LayerStack:
     """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m),
     each a scalar or an array, and the refractive indices n1..n3 = eps**0.5
-    (dimensionless).  `interfaces` holds the Fresnel coefficients of the
+    (dimensionless).  r1, t1 and r2, t2 are the left-incidence Fresnel
+    amplitudes r = (n_a - n_b) / (n_a + n_b), t = 2 n_a / (n_a + n_b) of the
     interfaces n1|n2 and n2|n3, and `intracavity` the factor
     1 / (1 - r1^2 r2^2) of the intracavity photon numbers; all are computed
     once per stack."""
 
-    __slots__ = ("eps1", "eps2", "eps3", "d2", "n1", "n2", "n3", "interfaces", "intracavity")
+    __slots__ = ("eps1", "eps2", "eps3", "d2", "n1", "n2", "n3", "r1", "r2", "t1", "t2",
+                 "intracavity")
 
     def __init__(self, eps1, eps2, eps3, d2):
         self.eps1, self.eps2, self.eps3, self.d2 = eps1, eps2, eps3, d2
@@ -49,30 +53,14 @@ class LayerStack:
             require(name, getattr(self, name), POSITIVE if name == "d2" else INDEX)
         n1, n2, n3 = eps1**0.5, eps2**0.5, eps3**0.5
         self.n1, self.n2, self.n3 = n1, n2, n3
-        self.interfaces = fresnel(n1, n2), fresnel(n2, n3)
+        s1, s2 = n1 + n2, n2 + n3
+        self.r1, self.t1 = (n1 - n2) / s1, 2.0 * n1 / s1
+        self.r2, self.t2 = (n2 - n3) / s2, 2.0 * n2 / s2
         # 1 - r1^2 r2^2 = (1 - r1 r2)(1 + r1 r2), each factor expanded over
         # the indices so that strong mirrors (r1 r2 -> -1) lose no digits
-        outer = (n1 + n2) * (n2 + n3)
+        outer = s1 * s2
         gap = 4.0 * n2 * (n1 * n3 + n2 * n2) * (n1 + n3)
         self.intracavity = outer * outer / gap
-
-
-class InterfaceCoefficients(NamedTuple):
-    """Single-interface amplitudes: left incidence (r, t), right (r_p, t_p)."""
-
-    r: float
-    t: float
-    r_p: float
-    t_p: float
-
-
-def fresnel(n_a, n_b):
-    """Normal-incidence Fresnel coefficients for the interface n_a | n_b."""
-    require("n_a", n_a, INDEX)
-    require("n_b", n_b, INDEX)
-    s = n_a + n_b
-    r = (n_a - n_b) / s
-    return InterfaceCoefficients(r=r, t=2.0 * n_a / s, r_p=-r, t_p=2.0 * n_b / s)
 
 
 class CompositeCoefficients(NamedTuple):
@@ -103,11 +91,10 @@ def _plain(x):
 
 def composite(stack, omega):
     """Composite reflection/transmission amplitudes of the stack at angular
-    frequency omega (rad/s)."""
+    frequency omega (rad/s), from its interface amplitudes r1, r2, t1, t2."""
     require("omega", omega, POSITIVE)
-    i1, i2 = stack.interfaces
     e = _phase_factor(stack, omega)
-    base = 1.0 + i1.r * i2.r * e
+    base = 1.0 + stack.r1 * stack.r2 * e
     row = first_row(_abs_sq(base) < 1e-28)  # |base| < 1e-14
     if row is not None:
         raise NumericalGuardError(
@@ -116,7 +103,8 @@ def composite(stack, omega):
             row=row,
         )
     nu2 = 1.0 / base
-    return CompositeCoefficients(nu2=nu2, R1=(i1.r + i2.r * e) * nu2, T1=i1.t * nu2, T2=i2.t)
+    return CompositeCoefficients(nu2=nu2, R1=(stack.r1 + stack.r2 * e) * nu2, T1=stack.t1 * nu2,
+                                 T2=stack.t2)
 
 
 class DirectionalPhotonNumbers(NamedTuple):
@@ -143,20 +131,18 @@ def photon_numbers(stack, omega, in1, in3):
     require("in1", in1, NONNEGATIVE)
     require("in3", in3, NONNEGATIVE)
     cc = composite(stack, omega)
-    i1, i2 = stack.interfaces
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
+    r1, t1, t2 = stack.r1, stack.t1, stack.t2
     # Every transmitted amplitude is a real constant times nu2, and a
     # lossless stack is reciprocal: |R2'|^2 = |R1|^2 and
-    # (n1/n3)(t1' t2')^2 = (n3/n1)(t1 t2)^2.
+    # (n1/n3)(t1' t2')^2 = (n3/n1)(t1 t2)^2.  The right-incidence
+    # amplitudes r1' = -r1 and t2' enter squared.
+    t2_p = 2.0 * n3 / (n2 + n3)
     r1_sq = _abs_sq(cc.R1)
-    t_sq = (n3 / n1) * (i1.t * i2.t) ** 2 * _abs_sq(cc.nu2)
+    t_sq = (n3 / n1) * (t1 * t2) ** 2 * _abs_sq(cc.nu2)
     n1m = r1_sq * in1 + t_sq * in3
-    n2p = (
-        (n2 / n1) * i1.t**2 * in1 + (n2 / n3) * (i2.t_p * i1.r_p) ** 2 * in3
-    ) * stack.intracavity
-    n2m = (
-        (n2 / n1) * (i1.t * i2.r) ** 2 * in1 + (n2 / n3) * i2.t_p**2 * in3
-    ) * stack.intracavity
+    n2p = ((n2 / n1) * t1**2 * in1 + (n2 / n3) * (t2_p * r1) ** 2 * in3) * stack.intracavity
+    n2m = ((n2 / n1) * (t1 * stack.r2) ** 2 * in1 + (n2 / n3) * t2_p**2 * in3) * stack.intracavity
     n3p = t_sq * in1 + r1_sq * in3
     totals = 0.5 * (in1 + n1m), 0.5 * (n2p + n2m), 0.5 * (n3p + in3)
     return DirectionalPhotonNumbers(n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3,

@@ -35,7 +35,6 @@ from photonforces import (
     cev_check,
     composite,
     force_density_decomposition,
-    fresnel,
     general,
     net_force_pressure,
     photon_numbers,
@@ -64,13 +63,15 @@ def assert_elementwise(array_value, scalar_values, scale):
     assert np.all(np.abs(got - want) <= REL * np.broadcast_to(scale, got.shape))
 
 
-@given(na=st.lists(st.floats(1.0, 4.0), min_size=1, max_size=12), nb=st.floats(1.0, 4.0))
+@given(eps=st.lists(st.tuples(eps_values, eps_values, eps_values), min_size=1, max_size=12))
 @settings(max_examples=100, deadline=None)
-def test_fresnel_broadcasts_over_indices(na, nb):
-    arr = fresnel(np.array(na), nb)
-    for field in ("r", "t", "r_p", "t_p"):
-        want = [getattr(fresnel(a, nb), field) for a in na]
-        assert_elementwise(getattr(arr, field), want, 1.0)
+def test_fresnel_broadcasts_over_indices(eps):
+    # a stack over arrays of eps1..eps3 holds, bit for bit, the amplitudes
+    # of the scalar stacks
+    arr = LayerStack(*np.array(eps).T, 1e-6)
+    for field in ("r1", "r2", "t1", "t2", "intracavity"):
+        want = [getattr(LayerStack(*e, 1e-6), field) for e in eps]
+        assert np.array_equal(getattr(arr, field), want)
 
 
 @given(e1=eps_values, e2=eps_values, e3=eps_values, d2=widths, hw=energies_ev,

@@ -1,4 +1,4 @@
-"""Tests for the three-layer stack: Fresnel data and photon numbers.
+"""Tests for the three-layer stack: interface amplitudes and photon numbers.
 
 The composite amplitudes are cross-checked against an independent
 transfer-matrix evaluation of the same stack, and the photon numbers
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonforces import LayerStack, bose_einstein, cavity, composite, fresnel, photon_numbers
+from photonforces import LayerStack, bose_einstein, cavity, composite, photon_numbers
 from photonforces.constants import C, EV, HBAR, KB
 
 REL = 1e-12
@@ -50,28 +50,37 @@ def tmm_reflection_transmission(stack, omega):
 
 
 class TestFresnel:
+    """The stack's left-incidence amplitudes r1, t1 (interface n1|n2) and
+    r2, t2 (n2|n3)."""
+
     def test_no_interface(self):
-        c = fresnel(1.0, 1.0)
-        assert c.r == 0.0 and c.t == 1.0
+        stack = LayerStack(2.0, 2.0, 2.0, 1e-6)
+        assert stack.r1 == stack.r2 == 0.0
+        assert stack.t1 == stack.t2 == 1.0
 
     def test_vacuum_to_n2(self):
-        c = fresnel(1.0, 2.0)
-        assert c.r == pytest.approx(-1.0 / 3.0, rel=REL)
-        assert c.t == pytest.approx(2.0 / 3.0, rel=REL)
-        assert c.r_p == pytest.approx(1.0 / 3.0, rel=REL)
-        assert c.t_p == pytest.approx(4.0 / 3.0, rel=REL)
+        stack = LayerStack(1.0, 4.0, 1.0, 1e-6)
+        assert stack.r1 == pytest.approx(-1.0 / 3.0, rel=REL)
+        assert stack.t1 == pytest.approx(2.0 / 3.0, rel=REL)
+        assert stack.r2 == pytest.approx(1.0 / 3.0, rel=REL)
+        assert stack.t2 == pytest.approx(4.0 / 3.0, rel=REL)
 
     def test_antisymmetry_under_swap(self):
-        assert fresnel(2.0, 1.0).r == pytest.approx(1.0 / 3.0, rel=REL)
+        assert LayerStack(4.0, 1.0, 4.0, 1e-6).r1 == pytest.approx(1.0 / 3.0, rel=REL)
+        assert LayerStack(4.0, 1.0, 4.0, 1e-6).r2 == pytest.approx(-1.0 / 3.0, rel=REL)
 
     @given(na=st.floats(min_value=1.0, max_value=4.0),
            nb=st.floats(min_value=1.0, max_value=4.0))
     @settings(max_examples=200, deadline=None)
     def test_stokes_relation(self, na, nb):
-        c = fresnel(na, nb)
-        assert c.t * c.t_p - c.r * c.r_p == pytest.approx(1.0, rel=REL)
-        assert c.r_p == -c.r
-        assert abs(c.r) <= 1.0
+        # t t' - r r' = 1 with r' = -r and t' = (n_b/n_a) t is the
+        # per-interface energy balance r^2 + (n_b/n_a) t^2 = 1
+        stack = LayerStack(na * na, nb * nb, na * na, 1e-6)
+        for r, t, ratio in ((stack.r1, stack.t1, stack.n2 / stack.n1),
+                            (stack.r2, stack.t2, stack.n3 / stack.n2)):
+            assert r * r + ratio * t * t == pytest.approx(1.0, rel=REL)
+            assert abs(r) <= 1.0
+        assert stack.r2 == -stack.r1
 
 
 class TestComposite:
@@ -190,8 +199,9 @@ class TestPhotonNumbers:
             0.5 * (pn.n1p + pn.n1m), 0.5 * (pn.n2p + pn.n2m), 0.5 * (pn.n3p + pn.n3m))
         # n1m's in3 term from the right-incidence amplitudes: reciprocity
         # makes it the left-incidence transmittance T_sq
-        i1, i2 = stack.interfaces
-        right = (stack.n1 / stack.n3) * (i1.t_p * i2.t_p) ** 2 * abs(cc.nu2) ** 2
+        n1, n2, n3 = stack.n1, stack.n2, stack.n3
+        t1_p, t2_p = 2.0 * n2 / (n1 + n2), 2.0 * n3 / (n2 + n3)
+        right = (n1 / n3) * (t1_p * t2_p) ** 2 * abs(cc.nu2) ** 2
         assert photon_numbers(stack, omega, 0.0, in3).n1m == pytest.approx(
             right * in3, rel=REL)
 

@@ -18,7 +18,6 @@ from photonforces import (
     ResultTable,
     composite,
     force_density_decomposition,
-    fresnel,
     photon_numbers,
     solve_transmission,
 )
@@ -47,7 +46,6 @@ def test_tables_built_without_metadata_do_not_share_it():
 
 
 @pytest.mark.parametrize("record", [
-    fresnel(1.0, 2.0),
     composite(STACK, OMEGA),
     photon_numbers(STACK, OMEGA, 1.0, 0.0),
     force_density_decomposition(STACK, OMEGA, photon_numbers(STACK, OMEGA, 1.0, 0.0))[0],
