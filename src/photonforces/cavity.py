@@ -57,10 +57,11 @@ class LayerStack:
         self.r1, self.t1 = (n1 - n2) / s1, 2.0 * n1 / s1
         self.r2, self.t2 = (n2 - n3) / s2, 2.0 * n2 / s2
         # 1 - r1^2 r2^2 = (1 - r1 r2)(1 + r1 r2), each factor expanded over
-        # the indices so that strong mirrors (r1 r2 -> -1) lose no digits
+        # the indices so that strong mirrors (r1 r2 -> -1) lose no digits;
+        # outer is divided by each factor before the two are multiplied, so
+        # that a large eps2 does not overflow outer^2
         outer = s1 * s2
-        gap = 4.0 * n2 * (n1 * n3 + n2 * n2) * (n1 + n3)
-        self.intracavity = outer * outer / gap
+        self.intracavity = (outer / (4.0 * n2 * (n1 + n3))) * (outer / (n1 * n3 + n2 * n2))
 
 
 class CompositeCoefficients(NamedTuple):

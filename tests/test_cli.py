@@ -441,6 +441,17 @@ class TestStrongMirrors:
         for value in cols[0]:
             assert value == pytest.approx(0.5, rel=REL)
 
+    @pytest.mark.parametrize("eps2", ["1e155", "1e200", "1e308"])
+    def test_eps2_past_the_square_of_the_float_range(self, config_path, capsys, eps2):
+        # outer^2 = ((n1 + n2)(n2 + n3))^2 ~ eps2^2 is past the float range
+        cols = self.intracavity_columns(capsys, [
+            "cavity", "--config", config_path, f"eps2={eps2}", "omega_min_ev=1.0",
+            "omega_points=1", "in1=1",
+        ])
+        assert len(cols) == 1
+        for value in cols[0]:
+            assert value == pytest.approx(0.5, rel=REL)
+
     def test_two_point_sweep(self, config_path, capsys):
         lo, hi = STRONG_MIRROR_WIDTHS
         cols = self.intracavity_columns(capsys, [
