@@ -30,7 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import C, HBAR, KB
-from .errors import INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require
+from .errors import (
+    FINITE, INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -75,11 +77,13 @@ class CompositeCoefficients(NamedTuple):
 
 
 def _phase_factor(stack, omega):
-    # Reduce 2*k2*d2 to [-pi, pi] before exponentiating to limit
+    phase = 2.0 * (stack.n2 * omega / C) * stack.d2
+    require("round-trip phase 2 k2 d2", phase, FINITE, NumericalGuardError)
+    # Reduce the phase to [-pi, pi] before exponentiating to limit
     # argument-reduction error for optically thick cavities.  The phase is
     # positive, so % is an exact fmod, and the shift by 2*pi is exact too
     # (Sterbenz).
-    phase = 2.0 * (stack.n2 * omega / C) * stack.d2 % _TWO_PI
+    phase = phase % _TWO_PI
     phase = phase - _TWO_PI * (phase > math.pi)
     return _plain(np.exp(1j * phase))
 
@@ -92,7 +96,9 @@ def _plain(x):
 
 def composite(stack, omega):
     """Composite reflection/transmission amplitudes of the stack at angular
-    frequency omega (rad/s), from its interface amplitudes r1, r2, t1, t2."""
+    frequency omega (rad/s), from its interface amplitudes r1, r2, t1, t2.
+    A round-trip phase 2 k2 d2 that overflows and a degenerate resonance are
+    guard errors that carry their row."""
     require("omega", omega, POSITIVE)
     e = _phase_factor(stack, omega)
     base = 1.0 + stack.r1 * stack.r2 * e
