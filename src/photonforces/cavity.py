@@ -139,7 +139,7 @@ def photon_numbers(stack, omega, in1, in3):
     require("in3", in3, NONNEGATIVE)
     cc = composite(stack, omega)
     n1, n2, n3 = stack.n1, stack.n2, stack.n3
-    r1, t1, t2 = stack.r1, stack.t1, stack.t2
+    r1, r2, t1, t2 = stack.r1, stack.r2, stack.t1, stack.t2
     # Every transmitted amplitude is a real constant times nu2, and a
     # lossless stack is reciprocal: |R2'|^2 = |R1|^2 and
     # (n1/n3)(t1' t2')^2 = (n3/n1)(t1 t2)^2.  The right-incidence
@@ -149,7 +149,7 @@ def photon_numbers(stack, omega, in1, in3):
     t_sq = (n3 / n1) * (t1 * t2) ** 2 * _abs_sq(cc.nu2)
     n1m = r1_sq * in1 + t_sq * in3
     n2p = ((n2 / n1) * t1**2 * in1 + (n2 / n3) * (t2_p * r1) ** 2 * in3) * stack.intracavity
-    n2m = ((n2 / n1) * (t1 * stack.r2) ** 2 * in1 + (n2 / n3) * t2_p**2 * in3) * stack.intracavity
+    n2m = ((n2 / n1) * (t1 * r2) ** 2 * in1 + (n2 / n3) * t2_p**2 * in3) * stack.intracavity
     n3p = t_sq * in1 + r1_sq * in3
     totals = 0.5 * (in1 + n1m), 0.5 * (n2p + n2m), 0.5 * (n3p + in3)
     return DirectionalPhotonNumbers(n1p=in1, n1m=n1m, n2p=n2p, n2m=n2m, n3p=n3p, n3m=in3,

@@ -10,9 +10,10 @@ A range check on an input goes through `require` and one of four domains,
 none of which admits nan or inf.  What is computed from checked inputs is
 not range-checked again: a nan or inf that an overflow makes there reaches
 `ResultTable`'s non-finite guard (exit 4), unless a guard names it sooner, as
-`cavity.composite` does for the round-trip phase.  Library functions evaluate whole
-grids at once, so an error carries `row`: the first grid row that failed (0
-for a scalar evaluation), which the CLI turns into the row and its value.
+`cavity.composite` does for the round-trip phase.  Library functions
+evaluate whole grids at once, so an error carries `row`: the first grid row
+that failed (0 for a scalar evaluation), which the CLI turns into the row
+and its value.
 """
 
 import math
