@@ -66,8 +66,9 @@ class TestFresnel:
         assert stack.t2 == pytest.approx(4.0 / 3.0, rel=REL)
 
     def test_antisymmetry_under_swap(self):
-        assert LayerStack(4.0, 1.0, 4.0, 1e-6).r1 == pytest.approx(1.0 / 3.0, rel=REL)
-        assert LayerStack(4.0, 1.0, 4.0, 1e-6).r2 == pytest.approx(-1.0 / 3.0, rel=REL)
+        stack = LayerStack(4.0, 1.0, 4.0, 1e-6)
+        assert stack.r1 == pytest.approx(1.0 / 3.0, rel=REL)
+        assert stack.r2 == pytest.approx(-1.0 / 3.0, rel=REL)
 
     @given(na=st.floats(min_value=1.0, max_value=4.0),
            nb=st.floats(min_value=1.0, max_value=4.0))
