@@ -16,14 +16,17 @@ CSV rows are encoded as arrays, `_CSV_BLOCK_ROWS` rows at a time, into the
 bytes `%.16e` writes.  Each nonzero |x| is scaled in long double,
 s = |x| * 10**(16 - E), with E = floor(log10|x|) corrected once near powers
 of ten.  Its 17 digits, D = s rounded to the nearest integer, are read from
-a 4-digit lookup table into a fixed 25-byte slot per value, whose pad bytes
-are deleted afterwards.  Each power 10**k is rounded once from its decimal
-string, so s is at most two roundings of half an ulp, s * eps in all, from
-the exact product.  A value whose s has a fraction that close to 1/2
-(exact ties included), or whose D falls outside [1e16, 1e17), takes the
-exact path: Python's `"%.16e" % x`.  So does every block of fewer than
-`_CSV_MIN_VALUES` values, and every block where long double is neither
-80-bit extended nor IEEE quad.
+a 4-digit lookup table into a fixed 25-byte slot per value, written as
+words through unaligned views, whose pad bytes are deleted afterwards.  Each
+power 10**k is rounded once from its decimal string, so s is at most two
+roundings of half an ulp, s * eps in all, from the exact product; where
+10**(16 - E) is exact in long double (16 - E from 0 to 27 on x87, to 48 in
+IEEE quad), s is one rounding, half that, from it.  A value whose s has a
+fraction within that band of 1/2 (exact ties included), or whose D falls
+outside [1e16, 1e17), takes the exact path: Python's `"%.16e" % x`.  So
+does every block of fewer than `_CSV_MIN_VALUES` values, and every block
+where long double is neither 80-bit extended nor IEEE quad.  One block's
+scratch is about 52 bytes a value, each array dropped once used.
 
 JSON data values are encoded the same way, the sorted columns end to end in
 blocks of `_JSON_BLOCK_VALUES`, into the bytes of `float.__repr__`: the
@@ -60,22 +63,26 @@ import numpy as np
 
 from .errors import NumericalGuardError
 
-_CSV_BLOCK_ROWS = 256
+# The CSV encoder's scratch, about 52 bytes a value, bounds the block: with
+# 512-row blocks, writing a 5000-row beam table peaks 0.31 MB above it,
+# below the run's compute, and 768 or 1024 rows took 1.20x or 1.34x the time
+# of 512 and 256 rows 1.12x (5000-row grid tables, in process).
 # Smaller blocks are formatted by `%`: numpy's fixed cost per block, 35-100
 # us, outweighs about 1 us per `%` value (measured on a 2 GHz Xeon).  So is
 # every block where the scaling lacks a 64-bit (x87) or 113-bit (IEEE quad)
 # long double significand.
+_CSV_BLOCK_ROWS = 512
 _CSV_MIN_VALUES = 150
 _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 # the JSON slots are put together from little-endian words
 _JSON_ARRAYS = _WIDE_LONG_DOUBLE and sys.byteorder == "little"
-# two roundings of at most half an ulp each, widened for the float64 product
+# two roundings of at most half an ulp each, widened for the float64 product;
+# the CSV encoder halves it where the power of ten is exact (`_tables`)
 _BAND = 1.01 * float(np.finfo(np.longdouble).eps)
 # E spans -324 (5e-324) to 308, one more each way before its correction
 _EXP_MIN, _EXP_MAX = -325, 309
 _POW_MIN = 16 - _EXP_MAX
-_SLOT = np.dtype({"names": ["sign", "lead", "digits", "exp", "sep"],
-                  "formats": ["u1", "S2", "(4,)u4", "S5", "u1"]})
+_SLOT = 25  # bytes per CSV value: sign, lead digit, point, 16 digits, exponent, separator
 _E16, _E17 = np.uint64(10**16), np.uint64(10**17)
 _P10 = np.array([1.0, 10.0, 100.0])
 _TENS = _P10[1:, None]
@@ -114,12 +121,21 @@ def _tables():
     """The CSV encoder's lookup tables, built on their first use, so that
     neither an import nor a call that writes only small tables or only JSON
     pays for them: 10**k (`_pow10`), each 4-digit group as the 4 bytes of a
-    uint32, "d." per lead digit, and the exponent text from E = _EXP_MIN."""
+    uint32, "d." per lead digit as a uint16, and per E from _EXP_MIN the
+    slot's last 8 bytes as a uint64 (two that the last two digits then
+    overwrite, the exponent text and ",") and the tie band over d: `_BAND`,
+    or half of it where 10**(16 - E) is exact in long double
+    (0 <= 16 - E and 5**(16 - E) < 2**64 on x87, or 2**113 for IEEE quad),
+    as s then carries one rounding, not two."""
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digit4 = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
-    lead = np.array([f"{d}." for d in range(10)], dtype="S2")
-    exp = np.array([f"e{e:+03d}" for e in range(_EXP_MIN, _EXP_MAX + 1)], dtype="S5")
-    return _pow10(), digit4, lead, exp
+    lead = np.array([f"{d}." for d in range(10)], dtype="S2").view(np.uint16)
+    exps = range(_EXP_MIN, _EXP_MAX + 1)
+    tail = _words([f"\0\0e{e:+03d}".ljust(7, "\0").encode() + b"," for e in exps])
+    bits = np.finfo(np.longdouble).nmant + 1
+    band = np.array([_BAND / 2 if 0 <= 16 - e and 5 ** (16 - e) < 2**bits else _BAND
+                     for e in exps])
+    return _pow10(), digit4, lead, tail, band
 
 
 @functools.cache
@@ -180,7 +196,7 @@ def _scale(x):
         s[fix] = pow10.take(16 - _POW_MIN - _EXP_MIN - k[fix]) * a[fix]
         d[fix] = s[fix]
         a[fix[d[fix] - _E16 >= _E17 - _E16]] = _TINY
-    s -= d
+    s -= d.view(np.int64)  # d < 1e17: as int64, the cast to long double is faster
     return a, zero, k, d, s.astype(np.float64)
 
 
@@ -204,36 +220,57 @@ def _digit_groups(d, width):
 
 def _csv_rows(block):
     """The CSV lines of a 2-D block of rows, each value as `%.16e`."""
-    rows, cols = block.shape
     if block.size < _CSV_MIN_VALUES or not _WIDE_LONG_DOUBLE:
-        fmt = ",".join(["%.16e"] * cols) + "\n"
+        fmt = ",".join(["%.16e"] * block.shape[1]) + "\n"
         return "".join([fmt % tuple(row) for row in block.tolist()])
-    _, digit4, lead_text, exp_text = _tables()
+    # the slots are freed once copied out, before their pad bytes go
+    return _csv_slots(block).tobytes().translate(None, b"\0").decode()
+
+
+def _csv_slots(block):
+    """Each value of a 2-D block as a 25-byte slot, `\\0` where nothing
+    goes: sign, lead digit and point, the other 16 digits, exponent, and
+    "," or, after a row's last value, "\\n".  Exact-path values hold their
+    `%.16e`.  Each array is dropped once used, as the block size is set by
+    the peak memory."""
+    _, digit4, lead_text, tail_text, band = _tables()
     x = block.ravel()
-    _, zero, k, d, frac = _scale(x)
-    exact = np.abs(frac - 0.5) <= d * _BAND
-    d += frac > 0.5
-    exact |= (d < _E16) | (d >= _E17)
-    exact &= ~zero
+    zero, k, d, frac = _scale(x)[1:]
+    # s = d + frac is within d * band of the exact product: a fraction that
+    # close to 1/2 may round either way, and `%` decides it
+    band = band.take(k)
+    band *= d
+    frac -= 0.5
+    d += frac > 0.0
+    np.abs(frac, out=frac)
+    exact = frac <= band
+    del frac, band
+    exact |= d - _E16 >= _E17 - _E16  # a carry to 1e17; below 1e16 wraps round
     # zeros print as 0.0000000000000000e+00 (`_scale` reads them as 1.5, so
     # E = 0); the exact path overwrites its slots, and D = 0 keeps their
     # lead digit in the table
-    d[exact | zero] = 0
-
-    out = np.empty(x.size, _SLOT)
-    out["sign"] = np.signbit(x) * ord("-")
+    np.putmask(d, exact | zero, 0)
+    del zero
     lead, groups = _digit_groups(d, 4)
-    out["lead"] = lead_text.take(lead)
-    out["digits"] = digit4.take(groups).T
-    out["exp"] = exp_text.take(k)
-    out["sep"] = ord(",")
-    out.reshape(rows, cols)["sep"][:, -1] = ord("\n")
-    text = out.view(np.uint8).reshape(x.size, _SLOT.itemsize)
-    idx = np.flatnonzero(exact)
+    del d
+    # each field is written as words through an unaligned view of the
+    # slots, the tail before the digits, which overwrite its first two bytes;
+    # `take` copies a uint64 index array to convert it, but not an int64 one
+    out = np.empty((x.size, _SLOT), np.uint8)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=out[:, 0])
+    out[:, 1:3].view(np.uint16)[:, 0] = lead_text.take(lead.view(np.int64))
+    del lead
+    out[:, 17:25].view(np.uint64)[:, 0] = tail_text.take(k)
+    words = out[:, 3:19].view(np.uint32)
+    for i, group in enumerate(groups):
+        words[:, i] = digit4.take(group)
+    del groups, group
+    out.reshape(block.shape[0], -1)[:, -1] = ord("\n")
+    idx = exact.nonzero()[0]
     if idx.size:
         exact_text = np.array(["%.16e" % v for v in x[idx].tolist()], dtype="S24")
-        text[idx, :24] = exact_text.view(np.uint8).reshape(idx.size, 24)
-    return text.tobytes().translate(None, b"\0").decode()
+        out[idx, :24] = exact_text.view(np.uint8).reshape(idx.size, 24)
+    return out
 
 
 def _shortest(x):

@@ -371,12 +371,18 @@ def test_csv_encoder_writes_per_value_text(shape, draw):
 
 
 # doubles whose 17-digit scaled value lies within the long double rounding
-# error of a rounding tie, found by a search over random bit patterns
+# error of a rounding tie, found by a search over random bit patterns; the
+# second set, with E in -11..16, where 10**(16 - E) is exact, within the
+# half-width band: each one's product rounds onto the tie, from above (the
+# first six) or below, and only the exact path rounds it the right way
 _NEAR_TIES = [
     6.831333660193826e-211, 6.419902486112994e-239, -3.160902468330413e+47,
     3.287273333893786e+109, 3.4119541713983098e-308, -6.814010853017351e+255,
     -7.038921089302648e-71, -6.486323152423617e-208, -6.851959420731789e+46,
     5.999810389393832e+59, 3.5868167662847037e-208, -5.921620824555604e+208,
+    853089337290.7692, 0.0003941839992666732, 86.54073676158598, 745573968631.3004,
+    -3.8189526433784316e-10, 9.538571837445806e-10, -0.0639915502941678, 9462931.969572566,
+    -0.0005786917317313657, 94128.87162035519, -97536011.11562704, -0.8306455995923593,
 ]
 
 
@@ -411,6 +417,17 @@ def test_csv_scale_powers_are_correctly_rounded():
     for k, power in enumerate(table_module._tables()[0], start=table_module._POW_MIN):
         error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** k)
         assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, k
+
+
+def test_csv_tie_band_is_halved_where_the_power_is_exact():
+    # per E, the power 10**(16 - E) that scales it: the band is half of
+    # `_BAND` exactly where that power is 10**(16 - E) to the bit
+    powers, *_, band = table_module._tables()
+    exps = range(table_module._EXP_MIN, table_module._EXP_MAX + 1)
+    exact = [Fraction(*powers[16 - e - table_module._POW_MIN].as_integer_ratio())
+             == Fraction(10) ** (16 - e) for e in exps]
+    assert 28 <= sum(exact) <= 49  # 10**0..10**27 on x87, to 10**48 in IEEE quad
+    assert band.tolist() == [table_module._BAND / (2 if ok else 1) for ok in exact]
 
 
 def test_table_rejects_duplicate_column_naming_it():
@@ -573,11 +590,12 @@ def test_json_encoder_decides_most_values_itself():
     assert np.count_nonzero(table_module._shortest(x)[3]) < 0.02 * x.size
 
 
-# (rows, columns): empty tables, a CSV block of 256 rows and its neighbours,
-# column ends just before, on and just past 1024 values, a JSON block of
-# values and its neighbours (a column end on a block end and either side of
-# it), and a table of many blocks of each
+# (rows, columns): empty tables, 256 rows and their neighbours, a CSV block
+# of rows and its neighbours, column ends just before, on and just past 1024
+# values, a JSON block of values and its neighbours (a column end on a block
+# end and either side of it), and a table of many blocks of each
 _WRITER_SHAPES = [(0, 0), (3, 0), (0, 3), (1, 1), (1, 10), (255, 4), (256, 4), (257, 4),
+                  (_BLOCK - 1, 4), (_BLOCK, 4), (_BLOCK + 1, 4),
                   (1023, 1), (1024, 1), (1025, 1), (341, 3), (512, 2), (205, 5),
                   (_JSON_BLOCK - 1, 1), (_JSON_BLOCK, 1), (_JSON_BLOCK + 1, 1), (5000, 10)]
 
@@ -612,17 +630,38 @@ class _Writes:
             self.write(text)
 
 
-@pytest.mark.parametrize("fmt, block", [("csv", 256 * 10 * 25), ("json", _JSON_BLOCK * 32)])
+@pytest.mark.parametrize("fmt, block", [("csv", _BLOCK * 10 * 25), ("json", _JSON_BLOCK * 32)])
 def test_writer_never_holds_more_than_a_block(fmt, block):
-    # the second table has constant columns, whose JSON text is one value's
-    # repeated: 5000 rows of it are more than a block
-    constant = _writer_table(5000, 10)
+    # tables of more than ten blocks of either format (6144 rows); the second
+    # has constant columns, whose JSON text is one value's repeated: a
+    # column of it is more than a block
+    rows = 12 * _BLOCK
+    constant = _writer_table(rows, 10)
     constant.data[:, [3, 9]] = [0.1, -1.2345678901234567e-300]
-    for table in (_writer_table(5000, 10), constant):
+    for table in (_writer_table(rows, 10), constant):
         fh = _Writes()
         getattr(table, f"write_{fmt}")(fh)
         assert sum(fh.sizes) == len(_text(table, fmt))
         assert max(fh.sizes) <= block < sum(fh.sizes) / 10
+
+
+def test_csv_encoder_scratch_per_value_is_pinned():
+    # one call on a full block of mixed-exponent values peaks 52.2 bytes a
+    # value above its input (the scaling in long double, the digit groups,
+    # and the slots with their bytes, each array dropped once used); the
+    # bound leaves a margin of 10%
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((_BLOCK, 10)) * 10.0 ** rng.integers(-30, 30, (_BLOCK, 10))
+    table_module._csv_rows(x)  # lookup tables built untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table_module._csv_rows(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 58 * x.size
 
 
 def test_json_encoder_scratch_per_value_is_pinned():
