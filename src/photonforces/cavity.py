@@ -31,7 +31,7 @@ import numpy as np
 
 from .constants import C, HBAR, KB
 from .errors import (
-    FINITE, INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require,
+    FINITE, INDEX, NONNEGATIVE, POSITIVE, NumericalGuardError, at_row, first_row, require, sqrt,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -39,7 +39,7 @@ _TWO_PI = 2.0 * math.pi
 
 class LayerStack:
     """Three lossless layers: permittivities eps1..eps3 and cavity width d2 (m),
-    each a scalar or an array, and the refractive indices n1..n3 = eps**0.5
+    each a scalar or an array, and the refractive indices n1..n3 = sqrt(eps)
     (dimensionless).  r1, t1 and r2, t2 are the left-incidence Fresnel
     amplitudes r = (n_a - n_b) / (n_a + n_b), t = 2 n_a / (n_a + n_b) of the
     interfaces n1|n2 and n2|n3, and `intracavity` the factor
@@ -53,7 +53,7 @@ class LayerStack:
         self.eps1, self.eps2, self.eps3, self.d2 = eps1, eps2, eps3, d2
         for name in ("eps1", "eps2", "eps3", "d2"):
             require(name, getattr(self, name), POSITIVE if name == "d2" else INDEX)
-        n1, n2, n3 = eps1**0.5, eps2**0.5, eps3**0.5
+        n1, n2, n3 = sqrt(eps1), sqrt(eps2), sqrt(eps3)
         self.n1, self.n2, self.n3 = n1, n2, n3
         s1, s2 = n1 + n2, n2 + n3
         self.r1, self.t1 = (n1 - n2) / s1, 2.0 * n1 / s1

@@ -13,7 +13,8 @@ not range-checked again: a nan or inf that an overflow makes there reaches
 `cavity.composite` does for the round-trip phase.  Library functions
 evaluate whole grids at once, so an error carries `row`: the first grid row
 that failed (0 for a scalar evaluation), which the CLI turns into the row
-and its value.
+and its value.  `first_row`, `at_row` and `sqrt` take a scalar or a grid
+alike.
 """
 
 import math
@@ -84,3 +85,11 @@ def first_row(failed):
 def at_row(values, row):
     """Element `row` of a grid quantity, or the quantity itself if scalar."""
     return np.ravel(values)[row] if np.ndim(values) else values
+
+
+def sqrt(x):
+    """The correctly rounded square root of a scalar (`math.sqrt`) or of each
+    element of an array (`np.sqrt`), so that a one-row run and a grid row
+    agree to the bit: `x ** 0.5` of a Python float is libm's `pow`, which can
+    be an ulp off."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)

@@ -25,7 +25,9 @@ The block index n may be a numpy array: `solve_transmission` and
 from typing import NamedTuple
 
 from .constants import C, HBAR
-from .errors import INDEX, NONNEGATIVE, POSITIVE, FeasibilityError, at_row, first_row, require
+from .errors import (
+    INDEX, NONNEGATIVE, POSITIVE, FeasibilityError, at_row, first_row, require, sqrt,
+)
 
 
 class PhotonInput:
@@ -158,7 +160,7 @@ def solve_transmission(photon, block, conv):
     V_r = vr_numerator / (M_r * C)
     v = C / n
     m0_sq = (E - p * C) * (E + p * C)  # E^2 - (pc)^2 without squaring first
-    m0 = (m0_sq * (m0_sq > 0)) ** 0.5 / C**2  # rounding-level negatives -> 0
+    m0 = sqrt(m0_sq * (m0_sq > 0)) / C**2  # rounding-level negatives -> 0
     return PolaritonSolution(
         E=E,
         E_f=hw,

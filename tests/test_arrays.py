@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonforces import (
@@ -64,15 +64,15 @@ def assert_elementwise(array_value, scalar_values, scale):
 
 
 @given(eps=st.lists(st.tuples(eps_values, eps_values, eps_values), min_size=1, max_size=12))
+@example(eps=[(1.0, 14.621633212572585, 1.0)])  # libm's pow(eps, 0.5) is an ulp off here
 @settings(max_examples=100, deadline=None)
 def test_fresnel_broadcasts_over_indices(eps):
-    # a stack over arrays of eps1..eps3 holds the amplitudes of the scalar
-    # stacks, to rounding: a float's eps**0.5 is libm's pow and an array's is
-    # sqrt, which can differ in the last bit
+    # a stack over arrays of eps1..eps3 holds, bit for bit, the amplitudes
+    # of the scalar stacks
     arr = LayerStack(*np.array(eps).T, 1e-6)
     for field in ("r1", "r2", "t1", "t2", "intracavity"):
         want = [getattr(LayerStack(*e, 1e-6), field) for e in eps]
-        assert_elementwise(getattr(arr, field), want, 1.0)
+        assert np.array_equal(getattr(arr, field), want)
 
 
 @given(e1=eps_values, e2=eps_values, e3=eps_values, d2=widths, hw=energies_ev,

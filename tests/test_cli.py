@@ -656,6 +656,26 @@ class TestSweepCommand:
         kappas = table.data[:, table.columns.index("kappa")]
         assert max(kappas) - min(kappas) < 1e-10
 
+    # eps = 14.621633212572585 is where libm's pow(eps, 0.5) is an ulp above
+    # the correctly rounded square root, so a one-row run once differed from
+    # the sweep row in n2p, n1m, n2m, n3p, T1T2_sq_weighted, identity_residual
+    @pytest.mark.parametrize("base, key, extra", [
+        ("cavity", "eps2", ["cavity.omega_points=1", "cavity.in3=0.5"]),
+        ("force", "eps2", []),
+        ("force", "eps3", ["force.mode=thermal", "force.in1=", "force.t_left_k=3000",
+                           "force.t_right_k=300"]),
+    ])
+    def test_one_row_run_is_the_first_sweep_row_to_the_bit(self, config_path, base, key,
+                                                            extra):
+        value = "14.621633212572585"
+        sweep = run_sweep(load_config(config_path, "sweep", [
+            f"base={base}", f"parameter={key}", f"min={value}", "max=20", "points=2",
+            *extra]))
+        single = run_command(base, load_config(
+            config_path, base, [arg.split(".", 1)[1] for arg in extra] + [f"{key}={value}"]))
+        assert sweep.columns == [key, *single.columns]
+        assert sweep.data[0, 1:].tobytes() == single.data[0].tobytes()
+
     def test_rejects_multirow_base(self, config_path):
         with pytest.raises(ConfigError, match="single row"):
             run_sweep(
