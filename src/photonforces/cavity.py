@@ -59,11 +59,15 @@ class LayerStack:
         self.r1, self.t1 = (n1 - n2) / s1, 2.0 * n1 / s1
         self.r2, self.t2 = (n2 - n3) / s2, 2.0 * n2 / s2
         # 1 - r1^2 r2^2 = (1 - r1 r2)(1 + r1 r2), each factor expanded over
-        # the indices so that strong mirrors (r1 r2 -> -1) lose no digits;
-        # outer is divided by each factor before the two are multiplied, so
-        # that a large eps2 does not overflow outer^2
-        outer = s1 * s2
-        self.intracavity = (outer / (4.0 * n2 * (n1 + n3))) * (outer / (n1 * n3 + n2 * n2))
+        # the index ratios a = n1/n2 and b = n3/n2, so that strong mirrors
+        # (r1 r2 -> -1) lose no digits: 1/(1 - r1^2 r2^2) is
+        # ((1 + a)(1 + b))^2 / (4 (1 + a b)(a + b)).  Every term is positive,
+        # and as n <= sqrt(max float) no product overflows: (1 + a)(1 + b)
+        # and a b are at most that root squared, which is finite, and each
+        # quotient is at most the result, about max(a, b, 1/a, 1/b) / 4
+        a, b = n1 / n2, n3 / n2
+        outer = (1.0 + a) * (1.0 + b)
+        self.intracavity = (outer / (1.0 + a * b)) * (outer / (4.0 * (a + b)))
 
 
 class CompositeCoefficients(NamedTuple):
