@@ -196,7 +196,7 @@ def _scale(x):
         s[fix] = pow10.take(16 - _POW_MIN - _EXP_MIN - k[fix]) * a[fix]
         d[fix] = s[fix]
         a[fix[d[fix] - _E16 >= _E17 - _E16]] = _TINY
-    s -= d.view(np.int64)  # d < 1e17: as int64, the cast to long double is faster
+    s -= d
     return a, zero, k, d, s.astype(np.float64)
 
 
