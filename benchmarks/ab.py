@@ -2,16 +2,18 @@
 calls in one process.
 
     python benchmarks/ab.py TREE_A TREE_B [--stage write_csv write_json]
-        [--rows 5000] [--rounds 40]
+        [--rows 5000] [--points 500] [--rounds 40]
 
 TREE_A and TREE_B are checkouts of this repository (the parent and the
 change; the same path twice checks the harness itself).  Each tree's
 `src/photonforces` is loaded under its own module name, `photonforces_a`
 and `photonforces_b`, so both run in this one interpreter.  The tables are
 the four kinds of a grid run, polariton, cavity, beam and thermal force, of
-`--rows` rows each: tree A's `run_command` computes them once, and both
-trees' `ResultTable` get the same data, so the two writers see the same
-values.  Before timing, each writer's text is compared: any difference in
+`--rows` rows each, and the four sweeps of perfbench's `roundtrip` ops, beam
+force over `d2_m`, ar force over `n_index`, cavity over `eps2` and
+polariton over `energy_ev`, of `--points` points each: tree A's
+`run_command` computes them once, and both trees' `ResultTable` get the same
+data, so the two writers see the same values.  Before timing, each writer's text is compared: any difference in
 the bytes exits 1.
 
 Per round, each stage and table is timed A, B, B, A, and B, A, A, B in the
@@ -69,11 +71,50 @@ omega_max_ev = 2.5
 omega_points = {rows}
 in1 = 1.0
 """
+# one-row bases, as in perfbench's `roundtrip` config
+_SWEEP = """
+[polariton]
+energy_ev = 1.0
+n_min = 1.7
+n_max = 1.7
+n_points = 1
+mass_kg = 1.0
+convention = minkowski
+
+[cavity]
+eps2 = 6.5
+d2_m = 8e-7
+omega_min_ev = 1.3
+in1 = 1.2
+in3 = 0.25
+
+[force]
+mode = beam
+eps2 = 5.0
+d2_m = 1e-6
+omega_min_ev = 1.6
+in1 = 0.8
+area_m2 = 1.0
+n_index = 1.5
+
+[sweep]
+base = force
+parameter = d2_m
+min = 1e-7
+max = 1e-6
+points = {points}
+"""
 _KINDS = {
     "polariton": ("polariton", []),
     "cavity": ("cavity", []),
     "beam": ("force", []),
     "thermal": ("force", ["mode=thermal", "in1=", "t_left_k=3000", "t_right_k=300"]),
+    "sweep-beam": ("sweep", ["base=force", "parameter=d2_m", "min=1e-7", "max=2e-6"]),
+    "sweep-ar": ("sweep", ["base=force", "force.mode=ar", "parameter=n_index", "min=1.05",
+                           "max=4.0"]),
+    "sweep-cavity": ("sweep", ["base=cavity", "parameter=eps2", "min=1.2", "max=14.0"]),
+    "sweep-polariton": ("sweep", ["base=polariton", "parameter=energy_ev", "min=0.3",
+                                  "max=4.0"]),
 }
 
 
@@ -88,13 +129,16 @@ def load_tree(tree, name):
     return module
 
 
-def grid_tables(side, rows):
-    """The four grid tables of `rows` rows, computed by `side`."""
+def grid_tables(side, rows, points=500):
+    """The four grid tables of `rows` rows and the four sweep tables of
+    `points` points, computed by `side`."""
     cli = importlib.import_module(f"{side.__name__}.cli")
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "grid.ini"
-        config.write_text(_GRID.format(rows=rows))
-        return {kind: cli.run_command(command, cli.load_config(str(config), command, overrides))
+        grid, sweep = Path(tmp) / "grid.ini", Path(tmp) / "sweep.ini"
+        grid.write_text(_GRID.format(rows=rows))
+        sweep.write_text(_SWEEP.format(points=points))
+        return {kind: cli.run_command(command, cli.load_config(
+                    str(sweep if command == "sweep" else grid), command, overrides))
                 for kind, (command, overrides) in _KINDS.items()}
 
 
@@ -139,6 +183,7 @@ def main(argv=None):
     parser.add_argument("tree_b")
     parser.add_argument("--stage", nargs="+", choices=STAGES, default=list(STAGES))
     parser.add_argument("--rows", type=int, default=5000)
+    parser.add_argument("--points", type=int, default=500)
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
     try:
@@ -148,7 +193,7 @@ def main(argv=None):
         cpu = None
     a = load_tree(args.tree_a, "photonforces_a")
     b = load_tree(args.tree_b, "photonforces_b")
-    tables = grid_tables(a, args.rows)
+    tables = grid_tables(a, args.rows, args.points)
     differ = []
     with open(os.devnull, "w", encoding="utf-8") as sink:
         cases = []
@@ -174,7 +219,8 @@ def main(argv=None):
                 t1.append(outer + timed_ms(first, sink))
     for stage, kind, _, _, peak_a, peak_b in cases:
         ta, tb = times[stage, kind]
-        result = {"stage": stage, "table": kind, "rows": args.rows, "rounds": args.rounds,
+        result = {"stage": stage, "table": kind, "rows": len(tables[kind].data),
+                  "rounds": args.rounds,
                   "cpu": cpu, "peak_bytes": {"a": peak_a, "b": peak_b}}
         if ta:
             ratios = [y / x for x, y in zip(ta, tb)]

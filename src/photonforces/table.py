@@ -13,19 +13,17 @@ Python's shortest round-trip `repr`, so they too read back exactly.
 at a time; `to_json()` is the JSON writer into a `StringIO`.
 
 CSV rows are encoded as arrays, `_CSV_BLOCK_ROWS` rows at a time, into the
-bytes `%.16e` writes.  Each nonzero |x| is scaled in long double,
+bytes `%.16e` writes.  Each nonzero |x| is scaled to
 s = |x| * 10**(16 - E), with E = floor(log10|x|) corrected once near powers
-of ten.  Its 17 digits, D = s rounded to the nearest integer, are read from
-a 4-digit lookup table into a fixed 25-byte slot per value, written as
-words through unaligned views, whose pad bytes are deleted afterwards.  Each
-power 10**k is rounded once from its decimal string, so s is at most two
-roundings of half an ulp, s * eps in all, from the exact product; where
-10**(16 - E) is exact in long double (16 - E from 0 to 27 on x87, to 48 in
-IEEE quad), s is one rounding, half that, from it.  A value whose s has a
-fraction within that band of 1/2 (exact ties included), or whose D falls
+of ten, as a float64 double-double: Dekker's error-free product of |x| and
+a two-double 10**(16 - E), so that s is its integer part d and a fraction,
+within 2**-44 (about 2**-101 of s) of the exact product.  Its 17 digits,
+D = s rounded to the nearest integer, are read from a 4-digit lookup table
+into a fixed 25-byte slot per value, written as words through unaligned
+views, whose pad bytes are deleted afterwards.  A value whose fraction lies
+within `_BAND`, 2**-40, of 1/2 (exact ties included), or whose D falls
 outside [1e16, 1e17), takes the exact path: Python's `"%.16e" % x`.  So
-does every block of fewer than `_CSV_MIN_VALUES` values, and every block
-where long double is neither 80-bit extended nor IEEE quad.  One block's
+does every block of fewer than `_CSV_MIN_VALUES` values.  One block's
 scratch is about 52 bytes a value, each array dropped once used.
 
 JSON data values are encoded the same way, the sorted columns end to end in
@@ -39,12 +37,12 @@ the multiple of 100 in it if there is one (with its further trailing
 zeros counted), else the multiple of 10 nearest to s if that is in it,
 else s rounded.  A power of two, whose gap below is half the gap above,
 is given the narrower interval.  A value takes the exact path,
-`float.__repr__`, where an end of the interval lies within s * eps of the
+`float.__repr__`, where an end of the interval lies within `_BAND` of the
 nearest multiple of 10 or 100, or s within it of a rounding tie, or where a
 power of two's wider interval may take in a multiple that the narrower
 does not, or where |x| is subnormal or the smallest normal; so do blocks of
-fewer than `_JSON_MIN_VALUES` values, and every block where long double is
-too narrow or the byte order big-endian.  The digits are read as 2-digit
+fewer than `_JSON_MIN_VALUES` values, and every block where the byte order
+is big-endian.  The digits are read as 2-digit
 pairs into a 56-byte slot per value, each digit after a pad byte for the
 point, and one mask per place of the point and count of digits keeps the
 digits written and sets the point.  A marker byte after each column's last
@@ -68,20 +66,18 @@ from .errors import NumericalGuardError
 # below the run's compute, and 768 or 1024 rows took 1.20x or 1.34x the time
 # of 512 and 256 rows 1.12x (5000-row grid tables, in process).
 # Smaller blocks are formatted by `%`: numpy's fixed cost per block, 35-100
-# us, outweighs about 1 us per `%` value (measured on a 2 GHz Xeon).  So is
-# every block where the scaling lacks a 64-bit (x87) or 113-bit (IEEE quad)
-# long double significand.
+# us, outweighs about 0.6 us per `%` value (measured on a 2 GHz Xeon, where
+# blocks of 90 values or fewer took longer as arrays, and 117 or more less).
 _CSV_BLOCK_ROWS = 512
 _CSV_MIN_VALUES = 150
-_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 # the JSON slots are put together from little-endian words
-_JSON_ARRAYS = _WIDE_LONG_DOUBLE and sys.byteorder == "little"
-# two roundings of at most half an ulp each, widened for the float64 product;
-# the CSV encoder halves it where the power of ten is exact (`_tables`)
-_BAND = 1.01 * float(np.finfo(np.longdouble).eps)
+_JSON_ARRAYS = sys.byteorder == "little"
+# how near a fraction of s, or an end of its interval, may lie to where the
+# digits change and still be undecided, in scaled units: 16 times the error
+# bound of `_product`, and 2**7 times the largest error measured
+_BAND = 2.0**-40
 # E spans -324 (5e-324) to 308, one more each way before its correction
 _EXP_MIN, _EXP_MAX = -325, 309
-_POW_MIN = 16 - _EXP_MAX
 _SLOT = 25  # bytes per CSV value: sign, lead digit, point, 16 digits, exponent, separator
 _E16, _E17 = np.uint64(10**16), np.uint64(10**17)
 _P10 = np.array([1.0, 10.0, 100.0])
@@ -89,6 +85,7 @@ _TENS = _P10[1:, None]
 _TENTHS = 1.0 / _TENS
 _P10_PAST = 10 ** np.arange(3, 17, dtype=np.uint64)
 _TINY = np.finfo(float).tiny  # the smallest normal double, 2**-1022
+_HIGH = np.uint64(2**64 - 2**27)  # `_high`'s mask
 # The JSON encoder's fixed cost per block is about 80 us and its cost per
 # value about 0.2 us, against 0.9 us per value for `repr` (measured on a
 # 2-core Xeon VM), so smaller blocks are written by `repr`.  The block size
@@ -109,33 +106,47 @@ def _words(texts):
 
 
 @functools.cache
-def _pow10():
-    """10**k in long double from k = _POW_MIN, for `_scale`; parsed from
-    decimal strings, as `np.longdouble(10) ** k` is off by more than half
-    an ulp for some k."""
-    return np.array([f"1e{k}" for k in range(_POW_MIN, 17 - _EXP_MIN)], dtype=np.longdouble)
+def _powers():
+    """The scaling table of `_scale`, built on its first use from Python
+    ints, whose true division rounds correctly (in about 1.5 ms).  Per E from _EXP_MIN, a
+    row of 2**t and of p, the double nearest 10**(16 - E) / 2**t; and r,
+    the double nearest (10**(16 - E) / 2**t - p) / p, so p * (1 + r) is
+    within 2**-106 of it, relative.  t keeps p near 2**53 (from 4.5e14 to
+    1.1e33 where t is held within the range of a double) and |x| * 2**t
+    normal for every x of exponent E."""
+    tens = [1]
+    for _ in range(16 - _EXP_MIN):
+        tens.append(tens[-1] * 10)
+    rows, ratios = [], []
+    for e in range(_EXP_MIN, _EXP_MAX + 1):
+        n = 16 - e
+        t = min(max(n * 3322 // 1000 - 53, -1022), 1023)  # 3.322 ~ log2(10)
+        num, den = (tens[n], 1) if n >= 0 else (1, tens[-n])
+        if t > 0:
+            den <<= t
+        else:
+            num <<= -t
+        p = num / den
+        i, j = p.as_integer_ratio()
+        rows.append((2.0**t, p))
+        ratios.append((num * j - i * den) / (i * den))
+    return np.array(rows), np.array(ratios)
 
 
 @functools.cache
 def _tables():
     """The CSV encoder's lookup tables, built on their first use, so that
     neither an import nor a call that writes only small tables or only JSON
-    pays for them: 10**k (`_pow10`), each 4-digit group as the 4 bytes of a
-    uint32, "d." per lead digit as a uint16, and per E from _EXP_MIN the
-    slot's last 8 bytes as a uint64 (two that the last two digits then
-    overwrite, the exponent text and ",") and the tie band over d: `_BAND`,
-    or half of it where 10**(16 - E) is exact in long double
-    (0 <= 16 - E and 5**(16 - E) < 2**64 on x87, or 2**113 for IEEE quad),
-    as s then carries one rounding, not two."""
+    pays for them: each 4-digit group as the 4 bytes of a uint32, "d." per
+    lead digit as a uint16, and per E from _EXP_MIN the slot's last 8 bytes
+    as a uint64 (two that the last two digits then overwrite, the exponent
+    text and ",")."""
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digit4 = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
     lead = np.array([f"{d}." for d in range(10)], dtype="S2").view(np.uint16)
-    exps = range(_EXP_MIN, _EXP_MAX + 1)
-    tail = _words([f"\0\0e{e:+03d}".ljust(7, "\0").encode() + b"," for e in exps])
-    bits = np.finfo(np.longdouble).nmant + 1
-    band = np.array([_BAND / 2 if 0 <= 16 - e and 5 ** (16 - e) < 2**bits else _BAND
-                     for e in exps])
-    return _pow10(), digit4, lead, tail, band
+    tail = _words([f"\0\0e{e:+03d}".ljust(7, "\0").encode() + b","
+                   for e in range(_EXP_MIN, _EXP_MAX + 1)])
+    return digit4, lead, tail
 
 
 @functools.cache
@@ -173,31 +184,80 @@ def _json_tables():
     return fill, point, prefix, tails, heads, pairs.view(np.uint32).ravel(), masks, seps
 
 
-def _scale(x):
-    """Each |x| scaled to 17 integer digits, for both encoders: returns |x|
-    (zeros read as 1.5: E = 0, and not a power of two), the zero mask,
-    k = E - _EXP_MIN for E = floor(log10|x|), as int16, the integer part d
-    of s = |x| * 10**(16 - E) in long double, in [1e16, 1e17), and s - d as
-    float64.  Where the one correction of E falls short, |x| reads as the
-    smallest normal, which the JSON encoder leaves undecided."""
-    pow10 = _pow10()
+def _magnitudes(x):
+    """|x|, zeros read as 1.5 (E = 0, and not a power of two), and the zero mask."""
     a = np.abs(x)
     zero = a == 0.0
     np.putmask(a, zero, 1.5)
+    return a, zero
+
+
+def _scale(x, a):
+    """Each |x| scaled to 17 integer digits, for both encoders, from a =
+    `_magnitudes(x)[0]`, which it overwrites: returns k = E - _EXP_MIN for
+    E = floor(log10|x|), as int16, the integer part d of s = |x| * 10**(16
+    - E), in [1e16, 1e17), and s - d as float64, together within 2**-44 of
+    the exact product (`_product`); and the indices where the one
+    correction of E falls short, whose d lies outside [1e16, 1e17)."""
     # the sum is positive, so the cast floors it: one too high at most, next
     # to a power of ten, where d reaches 1e17 or stays below 1e16
     k = np.subtract(np.log10(a), _EXP_MIN, out=np.empty(x.size, np.int16), casting="unsafe")
-    s = pow10.take(16 - _POW_MIN - _EXP_MIN - k)
-    s *= a
-    d = s.astype(np.uint64)
+    d, frac = _product(a, k)
     fix = (d - _E16 >= _E17 - _E16).nonzero()[0]  # below 1e16 wraps round
     if fix.size:
         k[fix] += np.where(d[fix] < _E16, -1, 1).astype(np.int16)
-        s[fix] = pow10.take(16 - _POW_MIN - _EXP_MIN - k[fix]) * a[fix]
-        d[fix] = s[fix]
-        a[fix[d[fix] - _E16 >= _E17 - _E16]] = _TINY
-    s -= d
-    return a, zero, k, d, s.astype(np.float64)
+        d[fix], frac[fix] = _product(np.abs(x[fix]), k[fix])
+        fix = fix[d[fix] - _E16 >= _E17 - _E16]
+    return k, d, frac, fix
+
+
+def _high(v):
+    """v with the low 27 of its 52 stored significand bits cleared: its top
+    26 significant bits, which leave at most 27 in v less it."""
+    return (v.view(np.uint64) & _HIGH).view(np.float64)
+
+
+def _product(a, k):
+    """d and s - d for s = a * 10**(16 - E), as uint64 and float64,
+    overwriting a.  Dekker's product: a' = a * 2**t (exact) and p, the
+    power's high part (`_powers`), are each split into a high half of 26
+    bits and a low half of at most 27 (`_high`).  hi = a' * p is rounded,
+    and its error is summed exactly, largest first: the product of the high
+    halves less hi, the two cross products, then the product of the low
+    halves (rounded), then hi * r, the power's low part; d is hi plus the
+    floor of that sum.  Only the last three terms round, at about 2**-105 s
+    each, so d + frac is within about 2**-101 of s, under 2**-44 for s below
+    1e17 (2**-47.4 the largest measured).  The terms are formed in place,
+    and r taken once the halves of p are done with, so that the scratch
+    peaks at five arrays of doubles."""
+    rows, ratios = _powers()
+    g = rows.take(k, axis=0)
+    hi, low = g.T  # 2**t and p, then a' * p and the low half of p
+    a *= hi
+    np.multiply(a, low, out=hi)
+    high = _high(low)
+    low -= high
+    ah = _high(a)
+    a -= ah
+    err = np.multiply(ah, high)
+    err -= hi
+    high *= a
+    err += high
+    del high
+    ah *= low
+    err += ah
+    a *= low
+    err += a
+    np.take(ratios, k, out=ah, mode="clip")
+    ah *= hi
+    err += ah
+    del ah
+    np.floor(err, out=a)
+    err -= a
+    d = hi.astype(np.uint64)
+    del g, hi, low
+    d += a.astype(np.int64).view(np.uint64)  # the floor, which may be negative
+    return d, err
 
 
 def _digit_groups(d, width):
@@ -218,9 +278,29 @@ def _digit_groups(d, width):
     return lead, groups
 
 
+def _nearest(x):
+    """The digits of each x that `%.16e` writes: (D, k, exact), where D
+    times 10**(E - 16), for E = k + _EXP_MIN, is |x| to 17 significant
+    digits (D = 0 for a zero, which prints as 0.0000000000000000e+00, as
+    `_magnitudes` reads it as 1.5, so E = 0), and `exact` marks the values
+    this cannot decide, whose D is 0 too."""
+    a, zero = _magnitudes(x)
+    k, d, frac = _scale(x, a)[:3]
+    del a  # as the block size is set by the peak memory
+    # s = d + frac is within `_BAND` of the exact product: a fraction that
+    # close to 1/2 may round either way, and `%` decides it
+    frac -= 0.5
+    d += frac > 0.0
+    exact = np.abs(frac, out=frac) <= _BAND
+    del frac
+    exact |= d - _E16 >= _E17 - _E16  # a carry to 1e17; below 1e16 wraps round
+    np.putmask(d, exact | zero, 0)
+    return d, k, exact
+
+
 def _csv_rows(block):
     """The CSV lines of a 2-D block of rows, each value as `%.16e`."""
-    if block.size < _CSV_MIN_VALUES or not _WIDE_LONG_DOUBLE:
+    if block.size < _CSV_MIN_VALUES:
         fmt = ",".join(["%.16e"] * block.shape[1]) + "\n"
         return "".join([fmt % tuple(row) for row in block.tolist()])
     # the slots are freed once copied out, before their pad bytes go
@@ -233,24 +313,9 @@ def _csv_slots(block):
     "," or, after a row's last value, "\\n".  Exact-path values hold their
     `%.16e`.  Each array is dropped once used, as the block size is set by
     the peak memory."""
-    _, digit4, lead_text, tail_text, band = _tables()
+    digit4, lead_text, tail_text = _tables()
     x = block.ravel()
-    zero, k, d, frac = _scale(x)[1:]
-    # s = d + frac is within d * band of the exact product: a fraction that
-    # close to 1/2 may round either way, and `%` decides it
-    band = band.take(k)
-    band *= d
-    frac -= 0.5
-    d += frac > 0.0
-    np.abs(frac, out=frac)
-    exact = frac <= band
-    del frac, band
-    exact |= d - _E16 >= _E17 - _E16  # a carry to 1e17; below 1e16 wraps round
-    # zeros print as 0.0000000000000000e+00 (`_scale` reads them as 1.5, so
-    # E = 0); the exact path overwrites its slots, and D = 0 keeps their
-    # lead digit in the table
-    np.putmask(d, exact | zero, 0)
-    del zero
+    d, k, exact = _nearest(x)
     lead, groups = _digit_groups(d, 4)
     del d
     # each field is written as words through an unaligned view of the
@@ -280,7 +345,7 @@ def _shortest(x):
     zero; a rounding carry leaves D = 1e17, whose lead digit 10 stands for
     1, with k already one higher), and `exact` marks the values this
     cannot decide, whose D is 0."""
-    a, zero, k, d, frac = _scale(x)
+    a, zero = _magnitudes(x)
     # Every decimal within half the gap to each neighbouring double reads
     # back as x: scaled like s = d + frac, the integers from s - half to
     # s + half.  The digits are the one of those with the most trailing
@@ -288,13 +353,15 @@ def _shortest(x):
     # subnormal or the smallest normal, whose gaps are not scaled like this.
     m, _ = np.frexp(a)
     exact = a <= _TINY
+    k, d, frac, short = _scale(x, a)
+    del a
+    exact[short] = True
     # a power of two: the gap below is half the gap above; taken here is
     # the narrower interval, s -+ half the gap below
     two = (m == 0.5).nonzero()[0]
     m[two] = 1.0
     half = np.divide(d, m, out=m)
     half *= 2.0**-54
-    band = np.multiply(d, _BAND, out=a)
     # t: s less the multiple of 100 at or below it, which d becomes; as
     # half is 11.1 at most, one multiple of 100 at most lies within it
     low = d % 100
@@ -309,7 +376,7 @@ def _shortest(x):
     inside = near <= half
     if two.size:  # undecided: one that the wider interval may take in too
         wide = near[:, two] - half[two]
-        exact[two] |= ((wide > 0.0) & (wide < half[two] + band[two])).any(axis=0)
+        exact[two] |= ((wide > 0.0) & (wide < half[two] + _BAND)).any(axis=0)
     # undecided: an interval end within the band of one of them, which it
     # may or may not include
     near -= half
@@ -327,7 +394,7 @@ def _shortest(x):
     p *= 0.5
     p -= t
     np.minimum(near[0], p, out=p)
-    exact |= p < band
+    exact |= p < _BAND
     d += r.astype(np.uint64)
     # the zeros past those of a multiple of 100, where there are more
     live = inside[1].nonzero()[0]
