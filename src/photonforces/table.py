@@ -85,7 +85,6 @@ _TENS = _P10[1:, None]
 _TENTHS = 1.0 / _TENS
 _P10_PAST = 10 ** np.arange(3, 17, dtype=np.uint64)
 _TINY = np.finfo(float).tiny  # the smallest normal double, 2**-1022
-_HIGH = np.uint64(2**64 - 2**27)  # `_high`'s mask
 # The JSON encoder's fixed cost per block is about 80 us and its cost per
 # value about 0.2 us, against 0.9 us per value for `repr` (measured on a
 # 2-core Xeon VM), so smaller blocks are written by `repr`.  The block size
@@ -107,30 +106,23 @@ def _words(texts):
 
 @functools.cache
 def _powers():
-    """The scaling table of `_scale`, built on its first use from Python
-    ints, whose true division rounds correctly (in about 1.5 ms).  Per E from _EXP_MIN, a
-    row of 2**t and of p, the double nearest 10**(16 - E) / 2**t; and r,
-    the double nearest (10**(16 - E) / 2**t - p) / p, so p * (1 + r) is
-    within 2**-106 of it, relative.  t keeps p near 2**53 (from 4.5e14 to
-    1.1e33 where t is held within the range of a double) and |x| * 2**t
-    normal for every x of exponent E."""
-    tens = [1]
-    for _ in range(16 - _EXP_MIN):
-        tens.append(tens[-1] * 10)
-    rows, ratios = [], []
-    for e in range(_EXP_MIN, _EXP_MAX + 1):
-        n = 16 - e
+    """`_scale`'s table, built on first use (in about 1.5 ms) from Python
+    ints, whose true division rounds correctly.  Per E from _EXP_MIN: a row
+    of 2**t and p, the double nearest q = 10**(16 - E) / 2**t, and r, the
+    double nearest (q - p) / p, so that p * (1 + r) is within 2**-106 of q,
+    relative.  t keeps p from 4.5e14 to 1.1e33 and |x| * 2**t normal."""
+    rows, ratios = np.empty((_EXP_MAX - _EXP_MIN + 1, 2)), np.empty(_EXP_MAX - _EXP_MIN + 1)
+    ten = 10 ** (16 - _EXP_MIN)  # 10**|n|, held one at a time: the build peaks near 20 KB
+    for i, n in enumerate(range(16 - _EXP_MIN, 15 - _EXP_MAX, -1)):  # n = 16 - E
         t = min(max(n * 3322 // 1000 - 53, -1022), 1023)  # 3.322 ~ log2(10)
-        num, den = (tens[n], 1) if n >= 0 else (1, tens[-n])
-        if t > 0:
-            den <<= t
-        else:
-            num <<= -t
+        num, den = (ten, 1) if n >= 0 else (1, ten)
+        num, den = num << max(-t, 0), den << max(t, 0)
         p = num / den
-        i, j = p.as_integer_ratio()
-        rows.append((2.0**t, p))
-        ratios.append((num * j - i * den) / (i * den))
-    return np.array(rows), np.array(ratios)
+        top, bottom = p.as_integer_ratio()
+        rows[i] = 2.0**t, p
+        ratios[i] = (num * bottom - top * den) / (top * den)
+        ten = ten // 10 if n > 0 else ten * 10
+    return rows, ratios
 
 
 @functools.cache
@@ -184,21 +176,15 @@ def _json_tables():
     return fill, point, prefix, tails, heads, pairs.view(np.uint32).ravel(), masks, seps
 
 
-def _magnitudes(x):
-    """|x|, zeros read as 1.5 (E = 0, and not a power of two), and the zero mask."""
+def _scale(x):
+    """Each |x| scaled to 17 integer digits, for both encoders: the zero
+    mask (zeros are read as 1.5, so E = 0), k = E - _EXP_MIN for E =
+    floor(log10|x|), as int16, the integer part d of s = |x| * 10**(16 - E),
+    in [1e16, 1e17), and s - d, within 2**-44 of the exact product's; and
+    the indices where the one correction of E falls short, d outside."""
     a = np.abs(x)
     zero = a == 0.0
     np.putmask(a, zero, 1.5)
-    return a, zero
-
-
-def _scale(x, a):
-    """Each |x| scaled to 17 integer digits, for both encoders, from a =
-    `_magnitudes(x)[0]`, which it overwrites: returns k = E - _EXP_MIN for
-    E = floor(log10|x|), as int16, the integer part d of s = |x| * 10**(16
-    - E), in [1e16, 1e17), and s - d as float64, together within 2**-44 of
-    the exact product (`_product`); and the indices where the one
-    correction of E falls short, whose d lies outside [1e16, 1e17)."""
     # the sum is positive, so the cast floors it: one too high at most, next
     # to a power of ten, where d reaches 1e17 or stays below 1e16
     k = np.subtract(np.log10(a), _EXP_MIN, out=np.empty(x.size, np.int16), casting="unsafe")
@@ -208,28 +194,23 @@ def _scale(x, a):
         k[fix] += np.where(d[fix] < _E16, -1, 1).astype(np.int16)
         d[fix], frac[fix] = _product(np.abs(x[fix]), k[fix])
         fix = fix[d[fix] - _E16 >= _E17 - _E16]
-    return k, d, frac, fix
+    return zero, k, d, frac, fix
 
 
 def _high(v):
-    """v with the low 27 of its 52 stored significand bits cleared: its top
-    26 significant bits, which leave at most 27 in v less it."""
-    return (v.view(np.uint64) & _HIGH).view(np.float64)
+    """v's top 26 significant bits, the low 27 of its 52 stored ones cleared."""
+    return (v.view(np.uint64) & np.uint64(2**64 - 2**27)).view(np.float64)
 
 
 def _product(a, k):
-    """d and s - d for s = a * 10**(16 - E), as uint64 and float64,
-    overwriting a.  Dekker's product: a' = a * 2**t (exact) and p, the
-    power's high part (`_powers`), are each split into a high half of 26
-    bits and a low half of at most 27 (`_high`).  hi = a' * p is rounded,
-    and its error is summed exactly, largest first: the product of the high
-    halves less hi, the two cross products, then the product of the low
-    halves (rounded), then hi * r, the power's low part; d is hi plus the
-    floor of that sum.  Only the last three terms round, at about 2**-105 s
-    each, so d + frac is within about 2**-101 of s, under 2**-44 for s below
-    1e17 (2**-47.4 the largest measured).  The terms are formed in place,
-    and r taken once the halves of p are done with, so that the scratch
-    peaks at five arrays of doubles."""
+    """d and s - d for s = a * 10**(16 - E), overwriting a: Dekker's product
+    of a' = a * 2**t (exact) and p (`_powers`), each split into a high half
+    of 26 bits and a low half of at most 27 (`_high`).  The four partial
+    products less the rounded hi = a' * p, and then hi * r, are summed into
+    err largest first; only the last three terms round, so that hi + err is
+    within about 2**-101 of s, under 2**-44 for s below 1e17 (2**-47.4 the
+    largest measured).  The terms are formed in place, and r taken once p's
+    halves are used up, so that the scratch peaks at five arrays of doubles."""
     rows, ratios = _powers()
     g = rows.take(k, axis=0)
     hi, low = g.T  # 2**t and p, then a' * p and the low half of p
@@ -238,24 +219,18 @@ def _product(a, k):
     high = _high(low)
     low -= high
     ah = _high(a)
-    a -= ah
+    a -= ah  # the low half of a'
     err = np.multiply(ah, high)
     err -= hi
-    high *= a
-    err += high
+    err += np.multiply(high, a, out=high)
     del high
-    ah *= low
-    err += ah
-    a *= low
-    err += a
-    np.take(ratios, k, out=ah, mode="clip")
-    ah *= hi
-    err += ah
-    del ah
+    err += np.multiply(ah, low, out=ah)
+    err += np.multiply(a, low, out=a)
+    err += np.multiply(np.take(ratios, k, out=ah, mode="clip"), hi, out=ah)
     np.floor(err, out=a)
     err -= a
     d = hi.astype(np.uint64)
-    del g, hi, low
+    del g, hi, low, ah
     d += a.astype(np.int64).view(np.uint64)  # the floor, which may be negative
     return d, err
 
@@ -279,14 +254,11 @@ def _digit_groups(d, width):
 
 
 def _nearest(x):
-    """The digits of each x that `%.16e` writes: (D, k, exact), where D
-    times 10**(E - 16), for E = k + _EXP_MIN, is |x| to 17 significant
-    digits (D = 0 for a zero, which prints as 0.0000000000000000e+00, as
-    `_magnitudes` reads it as 1.5, so E = 0), and `exact` marks the values
-    this cannot decide, whose D is 0 too."""
-    a, zero = _magnitudes(x)
-    k, d, frac = _scale(x, a)[:3]
-    del a  # as the block size is set by the peak memory
+    """The digits that `%.16e` writes: (D, k, exact), where D, times 10**(E -
+    16) for E = k + _EXP_MIN, is |x| to 17 significant digits (D = 0 and E =
+    0 for a zero), and `exact` marks the values this cannot decide, whose D
+    is 0 too."""
+    zero, k, d, frac = _scale(x)[:4]
     # s = d + frac is within `_BAND` of the exact product: a fraction that
     # close to 1/2 may round either way, and `%` decides it
     frac -= 0.5
@@ -345,16 +317,16 @@ def _shortest(x):
     zero; a rounding carry leaves D = 1e17, whose lead digit 10 stands for
     1, with k already one higher), and `exact` marks the values this
     cannot decide, whose D is 0."""
-    a, zero = _magnitudes(x)
+    zero, k, d, frac, short = _scale(x)
     # Every decimal within half the gap to each neighbouring double reads
     # back as x: scaled like s = d + frac, the integers from s - half to
     # s + half.  The digits are the one of those with the most trailing
     # zeros, the nearest to s if several have as many.  Undecided: a
     # subnormal or the smallest normal, whose gaps are not scaled like this.
+    a = np.abs(x)
     m, _ = np.frexp(a)
-    exact = a <= _TINY
-    k, d, frac, short = _scale(x, a)
-    del a
+    np.putmask(m, zero, 0.75)  # as for 1.5
+    exact = (a <= _TINY) ^ zero
     exact[short] = True
     # a power of two: the gap below is half the gap above; taken here is
     # the narrower interval, s -+ half the gap below

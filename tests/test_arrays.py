@@ -437,8 +437,7 @@ def _significant_bits(v):
 def _scale_errors(x):
     # |d + frac - |x| * 10**(16 - E)| per nonzero x, correctly rounded, in
     # scaled units; in Python ints, as Fractions take seconds for these
-    a, zero = table_module._magnitudes(x)
-    k, d, frac, short = table_module._scale(x, a)
+    zero, k, d, frac, short = table_module._scale(x)
     assert not short.size
     errors = []
     for v, e, whole, part in zip(np.abs(x).tolist(), k.tolist(), d.tolist(), frac.tolist()):
