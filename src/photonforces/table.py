@@ -325,7 +325,7 @@ def _shortest(x):
     # subnormal or the smallest normal, whose gaps are not scaled like this.
     a = np.abs(x)
     m, _ = np.frexp(a)
-    np.putmask(m, zero, 0.75)  # as for 1.5
+    np.putmask(m, zero, 0.75)  # `_scale` reads a zero as 1.5
     exact = (a <= _TINY) ^ zero
     exact[short] = True
     # a power of two: the gap below is half the gap above; taken here is

@@ -375,7 +375,7 @@ def test_csv_encoder_writes_per_value_text(shape, draw):
 # can tell (found by a search over random bit patterns; the second set has
 # E in -11..16, where the power is exact in a long double, and such a
 # product rounds them onto the tie); the float64 double-double product of
-# `_scale` places each within 2**-47 and rounds it itself
+# `_scale` places each within 2**-44 and rounds it itself
 _NEAR_TIES = [
     6.831333660193826e-211, 6.419902486112994e-239, -3.160902468330413e+47,
     3.287273333893786e+109, 3.4119541713983098e-308, -6.814010853017351e+255,
@@ -754,8 +754,7 @@ _GRID_KINDS = [
 
 
 def test_csv_encoder_decides_most_values_itself(tmp_path):
-    # on the four 5000-row grid tables no value goes to `%` (131 to 407 of
-    # each table's did with a long double product)
+    # on the four 5000-row grid tables no value goes to `%`
     config = tmp_path / "run.ini"
     config.write_text(_GRID_CONFIG)
     for command, overrides in _GRID_KINDS:
