@@ -2,7 +2,7 @@
 calls in one process.
 
     python benchmarks/ab.py TREE_A TREE_B [--stage write_csv write_json]
-        [--rows 5000] [--points 500] [--rounds 40]
+        [--rows 5000] [--rounds 40]
 
 TREE_A and TREE_B are checkouts of this repository (the parent and the
 change; the same path twice checks the harness itself).  Each tree's
@@ -11,7 +11,7 @@ and `photonforces_b`, so both run in this one interpreter.  The tables are
 the four kinds of a grid run, polariton, cavity, beam and thermal force, of
 `--rows` rows each, and the four sweeps of perfbench's `roundtrip` ops, beam
 force over `d2_m`, ar force over `n_index`, cavity over `eps2` and
-polariton over `energy_ev`, of `--points` points each: tree A's
+polariton over `energy_ev`, of 500 points each: tree A's
 `run_command` computes them once, and both trees' `ResultTable` get the same
 data, so the two writers see the same values.  Before timing, each writer's text is compared: any difference in
 the bytes exits 1.
@@ -98,11 +98,7 @@ area_m2 = 1.0
 n_index = 1.5
 
 [sweep]
-base = force
-parameter = d2_m
-min = 1e-7
-max = 1e-6
-points = {points}
+points = 500
 """
 _KINDS = {
     "polariton": ("polariton", []),
@@ -129,14 +125,14 @@ def load_tree(tree, name):
     return module
 
 
-def grid_tables(side, rows, points=500):
-    """The four grid tables of `rows` rows and the four sweep tables of
-    `points` points, computed by `side`."""
+def tables_of(side, rows):
+    """The four grid tables of `rows` rows and the four 500-point sweep
+    tables, computed by `side`."""
     cli = importlib.import_module(f"{side.__name__}.cli")
     with tempfile.TemporaryDirectory() as tmp:
         grid, sweep = Path(tmp) / "grid.ini", Path(tmp) / "sweep.ini"
         grid.write_text(_GRID.format(rows=rows))
-        sweep.write_text(_SWEEP.format(points=points))
+        sweep.write_text(_SWEEP)
         return {kind: cli.run_command(command, cli.load_config(
                     str(sweep if command == "sweep" else grid), command, overrides))
                 for kind, (command, overrides) in _KINDS.items()}
@@ -183,7 +179,6 @@ def main(argv=None):
     parser.add_argument("tree_b")
     parser.add_argument("--stage", nargs="+", choices=STAGES, default=list(STAGES))
     parser.add_argument("--rows", type=int, default=5000)
-    parser.add_argument("--points", type=int, default=500)
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
     try:
@@ -193,7 +188,7 @@ def main(argv=None):
         cpu = None
     a = load_tree(args.tree_a, "photonforces_a")
     b = load_tree(args.tree_b, "photonforces_b")
-    tables = grid_tables(a, args.rows, args.points)
+    tables = tables_of(a, args.rows)
     differ = []
     with open(os.devnull, "w", encoding="utf-8") as sink:
         cases = []
