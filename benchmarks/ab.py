@@ -1,35 +1,51 @@
-"""Stage A/B: the table writers of two source trees, timed in alternating
+"""Stage A/B: the CLI's stages in two source trees, timed in alternating
 calls in one process.
 
-    python benchmarks/ab.py TREE_A TREE_B [--stage write_csv write_json]
-        [--rows 5000] [--rounds 40]
+    python benchmarks/ab.py TREE_A TREE_B [--stage config compute write_csv
+        write_json to_json rerun] [--rows 5000] [--rounds 40]
 
 TREE_A and TREE_B are checkouts of this repository (the parent and the
 change; the same path twice checks the harness itself).  Each tree's
 `src/photonforces` is loaded under its own module name, `photonforces_a`
-and `photonforces_b`, so both run in this one interpreter.  The tables are
-the four kinds of a grid run, polariton, cavity, beam and thermal force, of
-`--rows` rows each, and the four sweeps of perfbench's `roundtrip` ops, beam
-force over `d2_m`, ar force over `n_index`, cavity over `eps2` and
-polariton over `energy_ev`, of 500 points each: tree A's
-`run_command` computes them once, and both trees' `ResultTable` get the same
-data, so the two writers see the same values.  Before timing, each writer's text is compared: any difference in
-the bytes exits 1.
+and `photonforces_b`, so both run in this one interpreter.  The kinds of
+run are the four of a grid run, polariton, cavity, beam and thermal force,
+of `--rows` rows each, and the four sweeps of perfbench's `roundtrip` ops,
+beam force over `d2_m`, ar force over `n_index`, cavity over `eps2` and
+polariton over `energy_ev`, of 500 points each.  Tree A computes each
+kind's table once.  Each stage is a function of a side, a kind and these
+shared inputs that returns a call with no arguments and the output that
+both sides must match:
+  * `config`: `load_config` on the kind's INI file, and on one more,
+    `cavity-default`, the grid file with `in1` moved into a `[DEFAULT]`
+    section, which only configparser reads; the output is the params;
+  * `compute`: `run_command` on the side's own params; the output is its
+    table's `to_json()` text;
+  * `write_csv`, `write_json` and `to_json`: the side's own `ResultTable`
+    holding tree A's table, the writers writing to `os.devnull`; the output
+    is the text;
+  * `rerun`: `rerun_from_json` on tree A's JSON text; the output is its
+    table's `to_json()`, which must be that text again.
+Before timing, the outputs are compared: any difference exits 1.
 
-Per round, each stage and table is timed A, B, B, A, and B, A, A, B in the
-next (ABBA, so that a drift in the machine's speed within a round counts
-against neither side, nor does going first), each call writing to
-`os.devnull`.  A round's ratio is B's two times over A's.
-The process pins itself to one CPU where it can.  Printed, one JSON line per
-stage and table: each side's median and quartiles in ms, the median of the
-rounds' ratios B/A, the rounds B won, and each side's tracemalloc peak of
-one untimed call, in bytes above the heap before it.  `--rounds 0` checks
-the bytes and peaks only, timing nothing.
+Each stage and kind in turn is timed for `--rounds` rounds: A, B, B, A,
+and B, A, A, B in the next (ABBA, so that a drift in the machine's speed
+within a round counts against neither side, nor does going first).  A
+round's ratio is B's two times over A's.  One untimed call of each side
+comes first: the first call after another case refills the caches, and
+timed in a round it would fall on A in one round and on B in the next,
+splitting a fast call's ratios in two (1.36-1.45 on a 25 us `config` call,
+one tree on both sides).  The process pins itself to one CPU where it can.
+Printed, one JSON line per stage and kind: each side's median and
+quartiles in ms, the median of the rounds' ratios B/A, the rounds B won,
+and each side's tracemalloc peak of one untimed call, in bytes above the
+heap before it.  `--rounds 0` checks the outputs and peaks only, timing
+nothing.
 
 Not collected by pytest; CI runs it with the checkout as both trees.
 """
 
 import argparse
+import functools
 import gc
 import importlib
 import importlib.util
@@ -42,8 +58,8 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
-STAGES = ("write_csv", "write_json")
 _GRID = """
 [polariton]
 energy_ev = 1.0
@@ -115,56 +131,87 @@ _KINDS = {
 
 
 def load_tree(tree, name):
-    """The `photonforces` package of the checkout `tree`, imported as `name`."""
+    """The `cli` module of the checkout `tree`'s `photonforces` package,
+    imported as `name`."""
     package = Path(tree).resolve() / "src" / "photonforces"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return module
+    return importlib.import_module(f"{name}.cli")
 
 
-def tables_of(side, rows):
-    """The four grid tables of `rows` rows and the four 500-point sweep
-    tables, computed by `side`."""
-    cli = importlib.import_module(f"{side.__name__}.cli")
-    with tempfile.TemporaryDirectory() as tmp:
-        grid, sweep = Path(tmp) / "grid.ini", Path(tmp) / "sweep.ini"
-        grid.write_text(_GRID.format(rows=rows))
-        sweep.write_text(_SWEEP)
-        return {kind: cli.run_command(command, cli.load_config(
-                    str(sweep if command == "sweep" else grid), command, overrides))
-                for kind, (command, overrides) in _KINDS.items()}
+def inputs_of(a, rows, tmp, sink):
+    """What both sides get: each kind's config file, command and overrides
+    (`configs`), tree A's tables (`tables`) and their JSON texts (`texts`),
+    and the open `os.devnull` the writers write to (`sink`)."""
+    grid, sweep, default = (Path(tmp) / name for name in ("grid.ini", "sweep.ini",
+                                                          "default.ini"))
+    grid.write_text(_GRID.format(rows=rows))
+    sweep.write_text(_SWEEP)
+    default.write_text("[DEFAULT]\nin1 = 1.0\n" + _GRID.format(rows=rows).replace(
+        "in1 = 1.0\n", ""))
+    configs = {kind: (str(sweep if command == "sweep" else grid), command, overrides)
+               for kind, (command, overrides) in _KINDS.items()}
+    tables = {kind: a.run_command(command, a.load_config(*configs[kind]))
+              for kind, (command, _) in _KINDS.items()}
+    configs["cavity-default"] = (str(default), "cavity", [])
+    return SimpleNamespace(configs=configs, tables=tables, sink=sink,
+                           texts={kind: table.to_json() for kind, table in tables.items()})
 
 
-def writer(side, table, stage):
-    """`stage` of `side`'s own `ResultTable` holding `table`'s data."""
+def config(side, kind, inputs):
+    call = functools.partial(side.load_config, *inputs.configs[kind])
+    return call, call()
+
+
+def compute(side, kind, inputs):
+    call = functools.partial(side.run_command, _KINDS[kind][0],
+                             side.load_config(*inputs.configs[kind]))
+    return call, call().to_json()
+
+
+def writer(stage, side, kind, inputs):
+    """`stage` of `side`'s own `ResultTable` holding tree A's table."""
+    table = inputs.tables[kind]
     copy = side.ResultTable(list(table.columns), list(table.units), table.data.copy(),
                             dict(table.metadata))
-    return getattr(copy, stage)
-
-
-def text(write):
+    write = getattr(copy, stage)
+    if stage == "to_json":
+        return write, write()
     fh = io.StringIO()
     write(fh)
-    return fh.getvalue()
+    return functools.partial(write, inputs.sink), fh.getvalue()
 
 
-def peak_bytes(write, sink):
+def rerun(side, kind, inputs):
+    """A rerun that does not write its source text again gives no output."""
+    call = functools.partial(side.rerun_from_json, inputs.texts[kind])
+    text = call().to_json()
+    return call, text if text == inputs.texts[kind] else None
+
+
+STAGES = {"config": config, "compute": compute,
+          **{stage: functools.partial(writer, stage)
+             for stage in ("write_csv", "write_json", "to_json")},
+          "rerun": rerun}
+
+
+def peak_bytes(call):
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        write(sink)
+        call()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
-def timed_ms(write, sink):
+def timed_ms(call):
     t0 = time.perf_counter()
-    write(sink)
+    call()
     return (time.perf_counter() - t0) * 1e3
 
 
@@ -188,41 +235,42 @@ def main(argv=None):
         cpu = None
     a = load_tree(args.tree_a, "photonforces_a")
     b = load_tree(args.tree_b, "photonforces_b")
-    tables = tables_of(a, args.rows)
-    differ = []
-    with open(os.devnull, "w", encoding="utf-8") as sink:
-        cases = []
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w", encoding="utf-8") as sink:
+        inputs = inputs_of(a, args.rows, tmp, sink)
+        differ, cases = [], []
         for stage in args.stage:
-            for kind, table in tables.items():
-                write_a, write_b = writer(a, table, stage), writer(b, table, stage)
-                if text(write_a) != text(write_b):  # and the lookup tables are built
+            for kind in inputs.configs if stage == "config" else _KINDS:
+                # the untimed calls also build what the first call builds
+                (call_a, out_a), (call_b, out_b) = (STAGES[stage](side, kind, inputs)
+                                                    for side in (a, b))
+                if out_a is None or out_a != out_b:
                     differ.append(f"{stage} {kind}")
-                cases.append((stage, kind, write_a, write_b,
-                              peak_bytes(write_a, sink), peak_bytes(write_b, sink)))
+                cases.append((stage, kind, call_a, call_b, peak_bytes(call_a),
+                              peak_bytes(call_b)))
         if differ:
-            print(f"the two trees write different bytes: {', '.join(differ)}", file=sys.stderr)
+            print(f"the two trees give different outputs: {', '.join(differ)}",
+                  file=sys.stderr)
             return 1
-        times = {(stage, kind): ([], []) for stage, kind, *_ in cases}
-        gc.collect()
-        for i in range(args.rounds):
-            for stage, kind, write_a, write_b, *_ in cases:
+        for stage, kind, call_a, call_b, peak_a, peak_b in cases:
+            gc.collect()
+            call_a(), call_b()  # untimed: refill the caches the last case used
+            ta, tb = [], []
+            for i in range(args.rounds):
                 # A B B A, then B A A B in the next round
-                sides = [(write_a, times[stage, kind][0]), (write_b, times[stage, kind][1])]
-                (first, t1), (second, t2) = sides[::1 - 2 * (i % 2)]
-                outer = timed_ms(first, sink)
-                t2.append(timed_ms(second, sink) + timed_ms(second, sink))
-                t1.append(outer + timed_ms(first, sink))
-    for stage, kind, _, _, peak_a, peak_b in cases:
-        ta, tb = times[stage, kind]
-        result = {"stage": stage, "table": kind, "rows": len(tables[kind].data),
-                  "rounds": args.rounds,
-                  "cpu": cpu, "peak_bytes": {"a": peak_a, "b": peak_b}}
-        if ta:
-            ratios = [y / x for x, y in zip(ta, tb)]
-            result.update(a=summary([t / 2 for t in ta]), b=summary([t / 2 for t in tb]),
-                          ratio_median=round(statistics.median(ratios), 4),
-                          b_won=sum(r < 1.0 for r in ratios))
-        print(json.dumps(result))
+                (first, t1), (second, t2) = [(call_a, ta), (call_b, tb)][::1 - 2 * (i % 2)]
+                outer = timed_ms(first)
+                t2.append(timed_ms(second) + timed_ms(second))
+                t1.append(outer + timed_ms(first))
+            table = inputs.tables[kind if kind in _KINDS else "cavity"]  # cavity-default
+            result = {"stage": stage, "table": kind, "rows": len(table.data),
+                      "rounds": args.rounds,
+                      "cpu": cpu, "peak_bytes": {"a": peak_a, "b": peak_b}}
+            if ta:
+                ratios = [y / x for x, y in zip(ta, tb)]
+                result.update(a=summary([t / 2 for t in ta]), b=summary([t / 2 for t in tb]),
+                              ratio_median=round(statistics.median(ratios), 4),
+                              b_won=sum(r < 1.0 for r in ratios))
+            print(json.dumps(result), flush=True)
     return 0
 
 

@@ -304,7 +304,7 @@ def _grid_table(command, params, grid, label, columns, **metadata):
     The column dict and the matrix filled from it are the only full-size
     arrays held here, so a grid run holds at most its table, the columns
     being assembled and, as it writes, one encoder block: its peak heap is
-    2.04-2.36 tables at 5000 rows and 1.83-2.34 at 20 000 (see README).
+    1.84-2.40 tables at 5000 rows and 1.83-2.34 at 20 000 (see README).
     """
     axis, swept = grid, {}
     for key, value in params.items():

@@ -85,16 +85,17 @@ _TENS = _P10[1:, None]
 _TENTHS = 1.0 / _TENS
 _P10_PAST = 10 ** np.arange(3, 17, dtype=np.uint64)
 _TINY = np.finfo(float).tiny  # the smallest normal double, 2**-1022
-# The JSON encoder's fixed cost per block is about 80 us and its cost per
-# value about 0.2 us, against 0.9 us per value for `repr` (measured on a
-# 2-core Xeon VM), so smaller blocks are written by `repr`.  The block size
-# bounds the encoder's memory, about 120 bytes per value: writing a 5000-row
-# table to a file peaks 0.44 MB above it (benchmarks/test_serialization.py).
+# The JSON encoder costs about 90 us a block and 0.15 us a value, against
+# 0.55-0.85 us a value for `repr` (grid values, 2-core Xeon VM); summed over
+# the four grid kinds, arrays lose at 153 values and win at 162, so smaller
+# blocks are written by `repr`.  The block size bounds the encoder's memory,
+# about 120 bytes per value: writing a 5000-row beam table peaks 0.43 MB
+# above it (`benchmarks/ab.py --stage write_json`).
 # 2560 is the largest size, in steps of 256, at which a perfbench
 # `roundtrip` op's peak stays at its floor of 0.585 MB (its texts and the
 # lookup tables) and a 5000-row JSON grid run below the 2.5 tables that
 # tests/test_arrays.py allows: 2816 takes them to 0.611 MB and 2.51 tables.
-_JSON_MIN_VALUES = 120
+_JSON_MIN_VALUES = 160
 _JSON_BLOCK_VALUES = 2560
 _JSON_SEP, _JSON_END = ",\n      ", "\x01"
 
