@@ -2,7 +2,7 @@
 calls in one process.
 
     python benchmarks/ab.py TREE_A TREE_B [--stage config compute write_csv
-        write_json to_json rerun] [--rows 5000] [--rounds 40]
+        write_json to_json rerun main] [--rows 5000] [--rounds 40]
 
 TREE_A and TREE_B are checkouts of this repository (the parent and the
 change; the same path twice checks the harness itself).  Each tree's
@@ -24,7 +24,13 @@ both sides must match:
     holding tree A's table, the writers writing to `os.devnull`; the output
     is the text;
   * `rerun`: `rerun_from_json` on tree A's JSON text; the output is its
-    table's `to_json()`, which must be that text again.
+    table's `to_json()`, which must be that text again;
+  * `main`: the side's `main` on the kind's argv, CSV for a grid and JSON
+    for a sweep (as perfbench runs them), with `--out` a file in a
+    temporary directory that each call first removes, as perfbench does, so
+    that no call releases an earlier result's blocks on disk (50-80 ms on
+    ext4); the output is the file's bytes.  So this stage times the CLI's
+    own sink, whatever API the two trees' writers have.
 Before timing, the outputs are compared: any difference exits 1.
 
 Each stage and kind in turn is timed for `--rounds` rounds: A, B, B, A,
@@ -145,7 +151,8 @@ def load_tree(tree, name):
 def inputs_of(a, rows, tmp, sink):
     """What both sides get: each kind's config file, command and overrides
     (`configs`), tree A's tables (`tables`) and their JSON texts (`texts`),
-    and the open `os.devnull` the writers write to (`sink`)."""
+    the open `os.devnull` the writers write to (`sink`) and the temporary
+    directory (`tmp`)."""
     grid, sweep, default = (Path(tmp) / name for name in ("grid.ini", "sweep.ini",
                                                           "default.ini"))
     grid.write_text(_GRID.format(rows=rows))
@@ -157,7 +164,7 @@ def inputs_of(a, rows, tmp, sink):
     tables = {kind: a.run_command(command, a.load_config(*configs[kind]))
               for kind, (command, _) in _KINDS.items()}
     configs["cavity-default"] = (str(default), "cavity", [])
-    return SimpleNamespace(configs=configs, tables=tables, sink=sink,
+    return SimpleNamespace(configs=configs, tables=tables, sink=sink, tmp=Path(tmp),
                            texts={kind: table.to_json() for kind, table in tables.items()})
 
 
@@ -192,10 +199,24 @@ def rerun(side, kind, inputs):
     return call, text if text == inputs.texts[kind] else None
 
 
+def main_stage(side, kind, inputs):
+    """A run that does not exit 0 gives no output."""
+    path, command, overrides = inputs.configs[kind]
+    fmt = "json" if command == "sweep" else "csv"
+    out = inputs.tmp / f"main.{fmt}"
+    argv = [command, "--config", path, "--out", str(out), "--format", fmt, *overrides]
+
+    def call():
+        out.unlink(missing_ok=True)
+        return side.main(argv)
+
+    return call, out.read_bytes() if call() == 0 else None
+
+
 STAGES = {"config": config, "compute": compute,
           **{stage: functools.partial(writer, stage)
              for stage in ("write_csv", "write_json", "to_json")},
-          "rerun": rerun}
+          "rerun": rerun, "main": main_stage}
 
 
 def peak_bytes(call):

@@ -33,7 +33,10 @@ A beam or thermal force run over more than one frequency records the
 trapezoid of its net_pressure and net_impulse columns over omega (rad/s) in
 the metadata, as integrated_net_pressure_N and integrated_net_impulse_N.
 The table is computed and checked before `--out` is opened (or stdout
-taken), and its writer then streams the text there in blocks.
+taken), and its writer then streams the bytes there in blocks: into the
+file opened in binary mode, or into stdout's binary buffer, where the text
+would have the same bytes (`_byte_stream`).  Where the platform's line end
+is not "\n", both stay text files, which translate it.
 
 Plain argv is read in one pass (`_plain_args`): one command, `key=value`
 overrides anywhere, and the four options spelled in full, each followed by
@@ -699,6 +702,22 @@ def _fail(message, code):
     return code
 
 
+# the writers' bytes go straight to a binary file where a text file would
+# write the same ones: where it translates no line ends
+_BYTES = os.linesep == "\n"
+
+
+def _byte_stream(stdout):
+    """The binary file under the text stream `stdout`, flushed first, where
+    the text's bytes would be the same (its encoding writes "\\n" as one
+    byte and no byte-order mark); else `stdout` itself, e.g. a `StringIO`."""
+    buffer = getattr(stdout, "buffer", None)
+    if not _BYTES or buffer is None or "\n".encode(stdout.encoding) != b"\n":
+        return stdout
+    stdout.flush()
+    return buffer
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
     args = _parse(argv)
@@ -709,7 +728,7 @@ def main(argv=None):
         write = table.write_json if args["format"] == "json" else table.write_csv
         if out is not None:
             try:
-                with open(out, "w") as fh:
+                with open(out, "wb" if _BYTES else "w") as fh:
                     write(fh)
             except OSError as exc:
                 message = f"cannot write output file {out}: {exc.strerror}"
@@ -718,8 +737,9 @@ def main(argv=None):
             try:
                 if sys.stdout is None:  # fd 1 was closed when the interpreter started
                     raise ConfigError("cannot write to stdout: it is closed")
-                write(sys.stdout)
-                sys.stdout.flush()
+                stream = _byte_stream(sys.stdout)
+                write(stream)
+                stream.flush()
             except OSError as exc:
                 _to_devnull(1)
                 if not isinstance(exc, BrokenPipeError):  # `| head` quitting early is no error

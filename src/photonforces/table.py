@@ -9,8 +9,9 @@ convention flags, and the resolved run configuration for reproducibility),
 with sorted keys, a 2-space indent and one value per line: the text of
 `json.dumps(payload, indent=2, sort_keys=True)`.  Values are written as
 Python's shortest round-trip `repr`, so they too read back exactly.
-`write_csv(fh)` / `write_json(fh)` write each format to a text file a block
-at a time; `to_json()` is the JSON writer into a `StringIO`.
+`write_csv(fh)` / `write_json(fh)` write each format a block at a time to a
+binary file as bytes, or to a text file (an `io.TextIOBase`) as their text;
+`to_json()` is the JSON writer into a `StringIO`.
 
 CSV rows are encoded as arrays, `_CSV_BLOCK_ROWS` rows at a time, into the
 bytes `%.16e` writes.  Each nonzero |x| is scaled to
@@ -20,11 +21,12 @@ a two-double 10**(16 - E), so that s is its integer part d and a fraction,
 within 2**-44 (about 2**-101 of s) of the exact product.  Its 17 digits,
 D = s rounded to the nearest integer, are read from a 4-digit lookup table
 into a fixed 25-byte slot per value, written as words through unaligned
-views, whose pad bytes are deleted afterwards.  A value whose fraction lies
-within `_BAND`, 2**-40, of 1/2 (exact ties included), or whose D falls
-outside [1e16, 1e17), takes the exact path: Python's `"%.16e" % x`.  So
-does every block of fewer than `_CSV_MIN_VALUES` values.  One block's
-scratch is about 52 bytes a value, each array dropped once used.
+views of a `bytearray`, whose pad bytes `bytearray.translate` deletes as
+it copies out the block's bytes.  A value whose fraction lies within
+`_BAND`, 2**-40, of 1/2 (exact ties included), or whose D falls outside
+[1e16, 1e17), takes the exact path: Python's `"%.16e" % x`.  So does every
+block of fewer than `_CSV_MIN_VALUES` values.  One block's scratch is about
+52 bytes a value, each array dropped once used.
 
 JSON data values are encoded the same way, the sorted columns end to end in
 blocks of `_JSON_BLOCK_VALUES`, into the bytes of `float.__repr__`: the
@@ -213,8 +215,9 @@ def _product(a, k):
     largest measured).  The terms are formed in place, and r taken once p's
     halves are used up, so that the scratch peaks at five arrays of doubles."""
     rows, ratios = _powers()
-    g = rows.take(k, axis=0)
-    hi, low = g.T  # 2**t and p, then a' * p and the low half of p
+    # 2**t and p, then a' * p and the low half of p: contiguous, as each is
+    # read and written whole
+    hi, low = rows[:, 0].take(k), rows[:, 1].take(k)
     a *= hi
     np.multiply(a, low, out=hi)
     high = _high(low)
@@ -231,7 +234,7 @@ def _product(a, k):
     np.floor(err, out=a)
     err -= a
     d = hi.astype(np.uint64)
-    del g, hi, low, ah
+    del hi, low, ah
     d += a.astype(np.int64).view(np.uint64)  # the floor, which may be negative
     return d, err
 
@@ -272,20 +275,19 @@ def _nearest(x):
 
 
 def _csv_rows(block):
-    """The CSV lines of a 2-D block of rows, each value as `%.16e`."""
+    """The CSV lines of a 2-D block of rows as bytes, each value as `%.16e`."""
     if block.size < _CSV_MIN_VALUES:
         fmt = ",".join(["%.16e"] * block.shape[1]) + "\n"
-        return "".join([fmt % tuple(row) for row in block.tolist()])
-    # the slots are freed once copied out, before their pad bytes go
-    return _csv_slots(block).tobytes().translate(None, b"\0").decode()
+        return "".join([fmt % tuple(row) for row in block.tolist()]).encode()
+    return _csv_slots(block).translate(None, b"\0")
 
 
 def _csv_slots(block):
-    """Each value of a 2-D block as a 25-byte slot, `\\0` where nothing
-    goes: sign, lead digit and point, the other 16 digits, exponent, and
-    "," or, after a row's last value, "\\n".  Exact-path values hold their
-    `%.16e`.  Each array is dropped once used, as the block size is set by
-    the peak memory."""
+    """A `bytearray` of each value of a 2-D block as a 25-byte slot, `\\0`
+    where nothing goes: sign, lead digit and point, the other 16 digits,
+    exponent, and "," or, after a row's last value, "\\n".  Exact-path
+    values hold their `%.16e`.  Each array is dropped once used, as the
+    block size is set by the peak memory."""
     digit4, lead_text, tail_text = _tables()
     x = block.ravel()
     d, k, exact = _nearest(x)
@@ -294,7 +296,8 @@ def _csv_slots(block):
     # each field is written as words through an unaligned view of the
     # slots, the tail before the digits, which overwrite its first two bytes;
     # `take` copies a uint64 index array to convert it, but not an int64 one
-    out = np.empty((x.size, _SLOT), np.uint8)
+    slots = bytearray(x.size * _SLOT)  # filled through `out`, and returned without a copy
+    out = np.frombuffer(slots, np.uint8).reshape(x.size, _SLOT)
     np.multiply(np.signbit(x), np.uint8(ord("-")), out=out[:, 0])
     out[:, 1:3].view(np.uint16)[:, 0] = lead_text.take(lead.view(np.int64))
     del lead
@@ -308,7 +311,7 @@ def _csv_slots(block):
     if idx.size:
         exact_text = np.array(["%.16e" % v for v in x[idx].tolist()], dtype="S24")
         out[idx, :24] = exact_text.view(np.uint8).reshape(idx.size, 24)
-    return out
+    return slots
 
 
 def _shortest(x):
@@ -380,13 +383,13 @@ def _shortest(x):
 
 
 def _json_slots(x, first, rows):
-    """Each value of a 1-D block as 56 bytes (7 words), `\\0` where nothing
-    goes: sign, "0.000"-style prefix and lead digit; the other 16 digits,
-    each after a pad byte for a point, of which the first `kept` are
-    written (those of `float.__repr__` after its lead digit, to at least
-    digit E + 1 in fixed notation from 1); the exponent; the separator,
-    `_JSON_END` for the values from `first` on in steps of `rows`.
-    Exact-path values hold their `repr`."""
+    """A `bytearray` of each value of a 1-D block as 56 bytes (7 words),
+    `\\0` where nothing goes: sign, "0.000"-style prefix and lead digit;
+    the other 16 digits, each after a pad byte for a point, of which the
+    first `kept` are written (those of `float.__repr__` after its lead
+    digit, to at least digit E + 1 in fixed notation from 1); the exponent;
+    the separator, `_JSON_END` for the values from `first` on in steps of
+    `rows`.  Exact-path values hold their `repr`."""
     fill, point, prefix, tails, heads, pair_text, masks, seps = _json_tables()
     d, k, kept, exact = _shortest(x)
     lead, pairs = _digit_groups(d, 2)
@@ -396,7 +399,8 @@ def _json_slots(x, first, rows):
     words = pair_text.take(pairs)
     del pairs
     words &= masks.take(point.take(k) + kept, axis=1)
-    out = np.empty((x.size, 7), np.uint64)
+    slots = bytearray(x.size * 56)  # filled through `out`, and returned without a copy
+    out = np.frombuffer(slots, np.uint64).reshape(x.size, 7)
     out[:, 0] = head
     out.view(np.uint32)[:, 2:10] = words.T
     del head, words
@@ -407,20 +411,31 @@ def _json_slots(x, first, rows):
     if idx.size:
         exact_text = np.array([repr(v) for v in x[idx].tolist()], dtype="S48")
         out.view(np.uint8)[idx, :48] = exact_text.view(np.uint8).reshape(idx.size, 48)
-    return out
+    return slots
 
 
 def _json_values(x, first, rows):
-    """The JSON text of a 1-D block of values, each as `float.__repr__`
-    writes it and followed by `_JSON_SEP`, or by `_JSON_END` for the values
-    from `first` on in steps of `rows`."""
+    """The JSON text of a 1-D block of values as bytes, each as
+    `float.__repr__` writes it and followed by `_JSON_SEP`, or by
+    `_JSON_END` for the values from `first` on in steps of `rows`."""
     if x.size < _JSON_MIN_VALUES or not _JSON_ARRAYS:
         text = [_JSON_SEP] * (2 * x.size)  # each value, then its separator
         text[::2] = map(float.__repr__, x.tolist())
         text[2 * first + 1::2 * rows] = [_JSON_END] * len(range(first, x.size, rows))
-        return "".join(text)
-    # the slots are freed once copied out, before their pad bytes go
-    return _json_slots(x, first, rows).tobytes().translate(None, b"\0").decode()
+        return "".join(text).encode()
+    # copied out of the bytearray: the writer splits the block at its column
+    # ends, which takes `bytearray.split` twice as long as `bytes.split`
+    return bytes(_json_slots(x, first, rows).translate(None, b"\0"))
+
+
+def _converter(fh):
+    """What the writers' bytes are given to the file `fh` as: the bytes to a
+    binary file, and to a text one (an `io.TextIOBase`) their text, which
+    it encodes again.  Each block is converted before it is written, so
+    that its bytes are freed first."""
+    if isinstance(fh, io.TextIOBase):
+        return lambda data: data.decode()
+    return lambda data: data
 
 
 class ResultTable:
@@ -447,24 +462,34 @@ class ResultTable:
         self.metadata = {} if metadata is None else metadata
 
     def write_csv(self, fh):
-        """Write the CSV text to the text file `fh`, a block of rows at a time."""
-        fh.write(f"{','.join(self.columns)}\n{','.join(self.units)}\n")
+        """Write the CSV text to the file `fh`, text or binary
+        (`_converter`), a block of rows at a time."""
+        convert = _converter(fh)
+        fh.write(convert(f"{','.join(self.columns)}\n{','.join(self.units)}\n".encode()))
         for i in range(0, len(self.data), _CSV_BLOCK_ROWS):
-            fh.write(_csv_rows(self.data[i:i + _CSV_BLOCK_ROWS]))
+            fh.write(convert(_csv_rows(self.data[i:i + _CSV_BLOCK_ROWS])))
 
     def write_json(self, fh):
-        """Write the JSON text to the text file `fh`, a block of values at a
-        time.  The blocks are views of `self.data`, copied only where one
-        spans a column end, so the writer holds the table and one encoder
-        block (about 120 bytes per value).  With two rows or more, a column
-        whose values all have the same bits is written as its one value's
-        `repr`, repeated a block of values at a time, and only the other
-        columns are encoded; the writer still holds at most one block."""
+        """Write the JSON text to the file `fh`, text or binary
+        (`_converter`), a block of values at a time.  The blocks are views
+        of `self.data`, copied only where one spans a column end, so the
+        writer holds the table and one encoder block (about 120 bytes per
+        value).  With two rows or more, a column whose values all have the
+        same bits is written as its one value's `repr`, repeated a block of
+        values at a time, and only the other columns are encoded; the writer
+        still holds at most one block."""
         # json.dumps with an indent runs its pure-Python encoder over every
         # value, so the data columns, and the columns and units lists, are
         # written here in that encoder's layout, each string by the C one;
         # the metadata keeps json.dumps for key order and nesting
         import json  # here only: a CSV run never loads it
+
+        convert = _converter(fh)
+
+        def own(text):  # `text` as what `fh` is given
+            return convert(text.encode())
+
+        sep, end = own(_JSON_SEP), own(_JSON_END)
 
         def nested(obj):
             return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -475,13 +500,13 @@ class ResultTable:
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         names = [json.dumps(self.columns[j]) for j in order]
         rows = len(self.data)
-        fh.write(f'{{\n  "columns": {strings(self.columns)},\n  "data": ')
+        fh.write(own(f'{{\n  "columns": {strings(self.columns)},\n  "data": '))
         if not self.data.size:  # no columns, or empty ones, as json.dumps writes them
-            fh.write(nested(dict.fromkeys(self.columns, [])))
+            fh.write(own(nested(dict.fromkeys(self.columns, []))))
         else:
-            heads = [f"{{\n    {names[0]}: [\n      ",
-                     *[f"\n    ],\n    {name}: [\n      " for name in names[1:]],
-                     "\n    ]\n  }"]
+            heads = [own(f"{{\n    {names[0]}: [\n      "),
+                     *[own(f"\n    ],\n    {name}: [\n      ") for name in names[1:]],
+                     own("\n    ]\n  }")]
             # a column of one value, to the bit (-0.0 is not 0.0), is its
             # text repeated, a block at a time; the others are encoded.  Only
             # the columns whose ends agree are compared in full.
@@ -496,10 +521,10 @@ class ResultTable:
                 fh.write(heads[0])
                 for k, j in enumerate(order):
                     if same[j]:
-                        value = float.__repr__(float(self.data[0, j]))
+                        value = own(float.__repr__(float(self.data[0, j])))
                         fh.write(value)
                         for left in range(rows - 1, 0, -_JSON_BLOCK_VALUES):
-                            fh.write((_JSON_SEP + value) * min(left, _JSON_BLOCK_VALUES))
+                            fh.write((sep + value) * min(left, _JSON_BLOCK_VALUES))
                     else:
                         yield
                     fh.write(heads[k + 1])
@@ -515,13 +540,13 @@ class ResultTable:
                          for k in range(start // rows, (stop - 1) // rows + 1)]
                 block = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 # the block's first column end is value (-start - 1) % rows
-                text, *rest = _json_values(block, (-start - 1) % rows, rows).split(_JSON_END)
+                text, *rest = convert(_json_values(block, (-start - 1) % rows, rows)).split(end)
                 fh.write(text)
                 for piece in rest:
                     next(gap, None)
                     fh.write(piece)
-        fh.write(f',\n  "metadata": {nested(self.metadata)},\n'
-                 f'  "units": {strings(self.units)}\n}}\n')
+        fh.write(own(f',\n  "metadata": {nested(self.metadata)},\n'
+                     f'  "units": {strings(self.units)}\n}}\n'))
 
     def to_json(self):
         """The JSON text as a string, kept for the reruns that compare it

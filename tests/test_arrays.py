@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -629,8 +630,10 @@ def test_json_encoder_decides_most_values_itself():
 # (rows, columns): empty tables, 256 rows and their neighbours, a CSV block
 # of rows and its neighbours, column ends just before, on and just past 1024
 # values, a JSON block of values and its neighbours (a column end on a block
-# end and either side of it), and a table of many blocks of each
-_WRITER_SHAPES = [(0, 0), (3, 0), (0, 3), (1, 1), (1, 10), (255, 4), (256, 4), (257, 4),
+# end and either side of it), a table of many blocks of each, and one of
+# several rows but fewer values than the CSV encoder takes
+_WRITER_SHAPES = [(0, 0), (3, 0), (0, 3), (1, 1), (1, 10), (_CROSS // 10 - 1, 10),
+                  (255, 4), (256, 4), (257, 4),
                   (_BLOCK - 1, 4), (_BLOCK, 4), (_BLOCK + 1, 4),
                   (1023, 1), (1024, 1), (1025, 1), (341, 3), (512, 2), (205, 5),
                   (_JSON_BLOCK - 1, 1), (_JSON_BLOCK, 1), (_JSON_BLOCK + 1, 1), (5000, 10)]
@@ -647,11 +650,19 @@ def _writer_table(rows, cols):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("rows, cols", _WRITER_SHAPES)
 def test_writer_to_a_file_gives_the_bytes_of_the_text(tmp_path, rows, cols, fmt):
+    # a text file, a binary file and a BytesIO get the bytes of the text
+    # that a StringIO gets
     table = _writer_table(rows, cols)
-    path = tmp_path / f"out.{fmt}"
-    with open(path, "w", encoding="utf-8") as fh:
-        getattr(table, f"write_{fmt}")(fh)
-    assert path.read_bytes() == _text(table, fmt).encode()
+    write = getattr(table, f"write_{fmt}")
+    text = _text(table, fmt).encode()
+    for mode, encoding in (("w", "utf-8"), ("wb", None)):
+        path = tmp_path / f"out.{fmt}"
+        with open(path, mode, encoding=encoding) as fh:
+            write(fh)
+        assert path.read_bytes() == text, mode
+    fh = io.BytesIO()
+    write(fh)
+    assert fh.getvalue() == text
 
 
 class _Writes:
@@ -768,7 +779,8 @@ def test_csv_encoder_decides_most_values_itself(tmp_path):
                          ids=["polariton", "cavity", "beam", "thermal"])
 def test_grid_run_holds_at_most_two_and_a_half_tables(tmp_path, command, overrides, fmt):
     # a grid run keeps its table, the columns being assembled and one
-    # encoder block: its heap peaks below 2.5 tables (2.04-2.36 measured)
+    # encoder block: its heap peaks below 2.5 tables (README: 1.84-2.40
+    # tables at 5000 rows)
     config = tmp_path / "run.ini"
     config.write_text(_GRID_CONFIG)
     argv = [command, "--config", str(config), "--out", str(tmp_path / f"out.{fmt}"),
@@ -785,3 +797,46 @@ def test_grid_run_holds_at_most_two_and_a_half_tables(tmp_path, command, overrid
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * table.data.nbytes
+
+
+# the cavity grid, whose JSON has four constant columns, run for one row,
+# several rows of fewer values than the CSV encoder takes, a CSV block of
+# rows and its neighbours, and several blocks of either format
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [1, _CROSS // 10 - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1300])
+def test_every_sink_gets_the_same_bytes(tmp_path, capfdbinary, monkeypatch, rows, fmt):
+    config = tmp_path / "run.ini"
+    config.write_text(_GRID_CONFIG)
+    argv = ["cavity", "--config", str(config), "--format", fmt, f"omega_points={rows}"]
+    table = run_command("cavity", load_config(str(config), "cavity", argv[5:]))
+    want = _text(table, fmt).encode()  # a StringIO's
+    write = getattr(table, f"write_{fmt}")
+    path = tmp_path / f"out.{fmt}"
+    with open(path, "w", encoding="utf-8") as fh:
+        write(fh)
+    assert path.read_bytes() == want
+    fh = io.BytesIO()
+    write(fh)
+    assert fh.getvalue() == want
+    # the CLI's --out and stdout, and a stdout that has no binary buffer
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == want
+    capfdbinary.readouterr()
+    assert main(argv) == 0
+    assert capfdbinary.readouterr() == (want, b"")
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(argv) == 0
+    assert sys.stdout.getvalue().encode() == want
+
+
+def test_stdout_in_an_encoding_of_other_bytes_is_written_as_text(tmp_path, monkeypatch):
+    # UTF-16 writes "\n" as two bytes after a byte-order mark, so the CLI
+    # gives such a stdout the text, which it encodes
+    config = tmp_path / "run.ini"
+    config.write_text(_GRID_CONFIG)
+    argv = ["cavity", "--config", str(config), "omega_points=600"]
+    table = run_command("cavity", load_config(str(config), "cavity", argv[3:]))
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-16")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.buffer.getvalue() == _text(table, "csv").encode("utf-16")
