@@ -20,9 +20,10 @@ both sides must match:
     section, which only configparser reads; the output is the params;
   * `compute`: `run_command` on the side's own params; the output is its
     table's `to_json()` text;
-  * `write_csv`, `write_json` and `to_json`: the side's own `ResultTable`
-    holding tree A's table, the writers writing to `os.devnull`; the output
-    is the text;
+  * `write_csv`, `write_json` and `to_json`: the table of the side's own
+    `run_command`, laid out as the CLI lays it out, the writers writing to
+    `os.devnull`; the output is the text, none if the table's values,
+    names, units or metadata are not those of tree A's;
   * `rerun`: `rerun_from_json` on tree A's JSON text; the output is its
     table's `to_json()`, which must be that text again;
   * `main`: the side's `main` on the kind's argv, CSV for a grid and JSON
@@ -180,16 +181,18 @@ def compute(side, kind, inputs):
 
 
 def writer(stage, side, kind, inputs):
-    """`stage` of `side`'s own `ResultTable` holding tree A's table."""
-    table = inputs.tables[kind]
-    copy = side.ResultTable(list(table.columns), list(table.units), table.data.copy(),
-                            dict(table.metadata))
-    write = getattr(copy, stage)
+    """`stage` of the table that `side`'s own `run_command` makes."""
+    table = side.run_command(_KINDS[kind][0], side.load_config(*inputs.configs[kind]))
+    want = inputs.tables[kind]
+    same = ((table.columns, table.units, table.metadata) == (want.columns, want.units,
+                                                             want.metadata)
+            and table.data.tobytes() == want.data.tobytes())
+    write = getattr(table, stage)
     if stage == "to_json":
-        return write, write()
+        return write, write() if same else None
     fh = io.StringIO()
     write(fh)
-    return functools.partial(write, inputs.sink), fh.getvalue()
+    return functools.partial(write, inputs.sink), fh.getvalue() if same else None
 
 
 def rerun(side, kind, inputs):

@@ -149,8 +149,9 @@ def photon_numbers(stack, omega, in1, in3):
     # (n1/n3)(t1' t2')^2 = (n3/n1)(t1 t2)^2.  The right-incidence
     # amplitudes r1' = -r1 and t2' enter squared.
     t2_p = 2.0 * n3 / (n2 + n3)
-    r1_sq = _abs_sq(cc.R1)
-    t_sq = (n3 / n1) * (t1 * t2) ** 2 * _abs_sq(cc.nu2)
+    r1_sq, nu2_sq = _abs_sq(cc.R1), _abs_sq(cc.nu2)
+    del cc  # its three complex arrays, before the numbers are formed
+    t_sq = (n3 / n1) * (t1 * t2) ** 2 * nu2_sq
     n1m = r1_sq * in1 + t_sq * in3
     n2p = ((n2 / n1) * t1**2 * in1 + (n2 / n3) * (t2_p * r1) ** 2 * in3) * stack.intracavity
     n2m = ((n2 / n1) * (t1 * r2) ** 2 * in1 + (n2 / n3) * t2_p**2 * in3) * stack.intracavity

@@ -295,19 +295,22 @@ _UNITS = {"omega_ev": "eV", "V_r": "m/s", **dict.fromkeys(_FORCE_COLUMNS, "N/(ra
 
 def _grid_table(command, params, grid, label, columns, **metadata):
     """Evaluate `columns(x)`, a {name: values} dict, once over the whole grid
-    and build the table; scalar values are broadcast over the rows.
+    and build the table.
 
     A one-point grid is passed as a Python float: numpy's per-call overhead
-    on 1-element arrays would cost more than the computation.  An array
-    parameter is a sweep over a one-point grid (see run_sweep), with a row
-    per value and the values as the first column.  The table's constructor
-    makes a non-finite value a guard error; feasibility and guard errors,
-    that one included, name their row and its value.
+    on 1-element arrays would cost more than the computation, and its one
+    row is held as one small array.  An array parameter is a sweep over a
+    one-point grid (see run_sweep), with a row per value and the values as
+    the first column.  A table of more rows holds the column arrays
+    themselves, a scalar value as a zero-stride view of it, so no
+    (rows, columns) matrix is built.  The table's constructor makes a
+    non-finite value a guard error; feasibility and guard errors, that one
+    included, name their row and its value.
 
-    The column dict and the matrix filled from it are the only full-size
-    arrays held here, so a grid run holds at most its table, the columns
-    being assembled and, as it writes, one encoder block: its peak heap is
-    1.84-2.40 tables at 5000 rows and 1.83-2.34 at 20 000 (see README).
+    A grid run holds at most its table, the intermediates of the column
+    being formed and, as it writes, one encoder block: `run_command` peaks
+    at 1.10-1.57 tables, and a whole run at 1.40-2.23 tables at 5000 rows
+    and 1.10-1.56 at 20 000 (see README).
     """
     axis, swept = grid, {}
     for key, value in params.items():
@@ -315,15 +318,22 @@ def _grid_table(command, params, grid, label, columns, **metadata):
             axis, label, swept = value, f"{key}={{:g}}".format, {key: value}
     try:
         cols = {**swept, **columns(grid.item() if grid.size == 1 else grid)}
-        data = np.empty((len(cols), axis.size))
+        names = list(cols)
+        units = [_UNITS.get(name, "-") for name in cols]
+        metadata = {**_BASE_METADATA, "command": command, "config": dict(params), **metadata}
+        if axis.size > 1:
+            # an array is reshaped, as a polariton grid swept over n_min is
+            # (1, rows); a scalar is held as a zero-stride view of one
+            # float64, which takes a sixth of the time of np.broadcast_to
+            return ResultTable.from_columns(names, units, [
+                values.reshape(axis.shape) if isinstance(values, np.ndarray)
+                else np.ndarray(axis.shape, float, np.float64(values), strides=(0,))
+                for values in cols.values()
+            ], metadata)
+        data = np.empty((1, len(cols)))
         for j, values in enumerate(cols.values()):
-            data[j] = values
-        return ResultTable(
-            columns=list(cols),
-            units=[_UNITS.get(name, "-") for name in cols],
-            data=data.T,
-            metadata={**_BASE_METADATA, "command": command, "config": dict(params), **metadata},
-        )
+            data[:, j] = values
+        return ResultTable(names, units, data, metadata)
     except (FeasibilityError, NumericalGuardError) as exc:
         raise type(exc)(f"row {exc.row} ({label(axis[exc.row])}): {exc}") from exc
 
@@ -354,12 +364,18 @@ def run_polariton(params):
         block = kin.MediumBlock(n=n, M=params["mass_kg"])
         sol = kin.solve_transmission(photon, block, conv)
         v_before, v_after = kin.cev_check(photon, block, sol)
+        cev_residual = np.divide(v_after - v_before, v_before)
+        # the fields that columns read, each dropped as its column is formed;
+        # the others go with the solution
+        field = {name: getattr(sol, name)
+                 for name in ("E", "E_f", "E_d", "p", "p_f", "p_d", "delta_m", "V_r")}
+        del sol, v_after
         return {
-            "n": n, "E_over_hw": sol.E / hw, "Ef_over_hw": sol.E_f / hw,
-            "Ed_over_hw": sol.E_d / hw, "p_over_hk0": sol.p / hk0,
-            "pf_over_hk0": sol.p_f / hk0, "pd_over_hk0": sol.p_d / hk0,
-            "dmc2_over_hw": sol.delta_m * kin.C**2 / hw, "V_r": sol.V_r,
-            "cev_residual": np.divide(v_after - v_before, v_before),
+            "n": n, "E_over_hw": field.pop("E") / hw, "Ef_over_hw": field.pop("E_f") / hw,
+            "Ed_over_hw": field.pop("E_d") / hw, "p_over_hk0": field.pop("p") / hk0,
+            "pf_over_hk0": field.pop("p_f") / hk0, "pd_over_hk0": field.pop("p_d") / hk0,
+            "dmc2_over_hw": field.pop("delta_m") * kin.C**2 / hw, "V_r": field.pop("V_r"),
+            "cev_residual": cev_residual,
         }
 
     return _grid_table("polariton", params, grid, "n={:g}".format, columns)
@@ -466,19 +482,19 @@ def run_force(params):
                               row=row)
         numbers = cav.photon_numbers(stack, omega, in1, in3)
         ratio = frc.beam_ratio(numbers) if mode == "beam" else None
-        imp1, imp2 = frc.force_density_decomposition(stack, omega, numbers)
         totals = numbers.totals
         # the rest of the record and the inputs (8 arrays on a thermal grid)
-        # are freed before the net pressure and the S-scaled columns are built
+        # are freed before the impulses, and the totals before the columns
         del numbers, in1, in3
+        imp1, imp2 = frc._impulses(stack, omega, totals)
         net = frc._net_pressure(stack, omega, totals, S)
+        del totals
         impulse = S * (imp1.total + imp2.total)
-        cols = {
-            "omega_ev": omega * HBAR / EV,
-            "zcf1": S * imp1.zcf, "tcf1": S * imp1.tcf, "ncf1": S * imp1.ncf,
-            "zcf2": S * imp2.zcf, "tcf2": S * imp2.tcf, "ncf2": S * imp2.ncf,
-            "net_pressure": net, "net_impulse": impulse,
-        }
+        cols = {"omega_ev": omega * HBAR / EV}
+        for name, x in zip(_FORCE_COLUMNS, (*imp1, *imp2)):  # zcf1 to ncf2
+            x *= S  # in place where x is an array, to the bits of S * x
+            cols[name] = x
+        cols["net_pressure"], cols["net_impulse"] = net, impulse
         if mode == "beam":
             cols["F_over_F0"] = ratio
         return cols
@@ -486,10 +502,10 @@ def run_force(params):
     omega = _omega_grid(params, "force")
     table = _grid_table("force", params, omega, _omega_label, columns,
                         eps1_ne_eps3_warning=mismatch is not None)
-    if omega.size > 1:  # read as views of the table, once its column arrays are freed
+    if omega.size > 1:  # the table's own columns, checked finite
         for name in ("net_pressure", "net_impulse"):
             key = f"integrated_{name}_N"
-            value = float(np.trapezoid(table.data[:, table.columns.index(name)], omega))
+            value = float(np.trapezoid(table.column(name), omega))
             if not math.isfinite(value):
                 raise NumericalGuardError(f"non-finite value {value!r} in {key}")
             table.metadata[key] = value

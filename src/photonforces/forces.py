@@ -70,8 +70,14 @@ def force_density_decomposition(stack, omega, numbers):
     arithmetic means, which makes S * sum(impulses) equal the
     pressure-difference net force identically.
     """
+    return _impulses(stack, omega, numbers.totals)
+
+
+def _impulses(stack, omega, totals):
+    """The impulses from the layer totals of a photon-number record, so
+    that the rest of the record can be freed first."""
     rho1, rho2, rho3 = _rho(stack)
-    n1t, n2t, n3t = numbers.totals
+    n1t, n2t, n3t = totals
     out = []
     for rho_l, rho_r, n_l, n_r in ((rho1, rho2, n1t, n2t), (rho2, rho3, n2t, n3t)):
         d_rho = rho_r - rho_l

@@ -1,7 +1,10 @@
 """Tabular result container with lossless CSV and JSON serialization.
 
-The values are one 2-D float array, a row per grid point and a column per
-quantity; column names are unique.  CSV layout: header row, units row, then
+The values are float64 columns, a row per grid point and a column per
+quantity, held either as one 1-D array per column (`from_columns`, which a
+grid run of several rows uses, a constant column as a zero-stride view of
+its value) or as the one 2-D array given to the constructor; `data` builds the 2-D array on
+request.  Column names are unique.  CSV layout: header row, units row, then
 data rows with every value as `%.16e` (17 significant digits), so doubles
 round-trip exactly.  JSON holds `columns`, `units`, `data` (one array per
 column, keyed by name) and the metadata object (constants version,
@@ -65,8 +68,9 @@ from .errors import NumericalGuardError
 
 # The CSV encoder's scratch, about 52 bytes a value, bounds the block: with
 # 512-row blocks, writing a 5000-row beam table peaks 0.31 MB above it,
-# below the run's compute, and 768 or 1024 rows took 1.20x or 1.34x the time
-# of 512 and 256 rows 1.12x (5000-row grid tables, in process).
+# which sets that run's peak (its compute peaks 0.17 MB above the table),
+# and 768 or 1024 rows took 1.20x or 1.34x the time of 512 and 256 rows
+# 1.12x (5000-row grid tables, in process).
 # Smaller blocks are formatted by `%`: numpy's fixed cost per block, 35-100
 # us, outweighs about 0.6 us per `%` value (measured on a 2 GHz Xeon, where
 # blocks of 90 values or fewer took longer as arrays, and 117 or more less).
@@ -438,41 +442,121 @@ def _converter(fh):
     return lambda data: data
 
 
-class ResultTable:
-    """Named, unit-labelled columns of a 2-D float array, with a metadata dict.
-    A non-finite value raises NumericalGuardError with its row in `.row`."""
+def _check_names(columns, units):
+    if len(columns) != len(units):
+        raise ValueError("columns and units must have the same length")
+    if len(set(columns)) < len(columns):
+        name = next(c for i, c in enumerate(columns) if c in columns[:i])
+        raise ValueError(f"duplicate column {name!r}")
 
-    __slots__ = ("columns", "units", "data", "metadata")
+
+def _non_finite(columns, values, i, j):
+    return NumericalGuardError(
+        f"non-finite value {float(values[j][i])!r} in column {columns[j]!r}", row=int(i))
+
+
+def _block(values, start, stop):
+    """Rows `start:stop` of a table's values (`ResultTable._hold`) as a
+    (rows, columns) array: a view of a 2-D array, else a copy."""
+    if isinstance(values, np.ndarray):
+        return values[start:stop]
+    # the slices copied whole, then transposed in one copy, which frees the
+    # first: a stack of the slices, or a block filled a slice at a time,
+    # took 1.3-1.5 times as long (11 columns of 5000 rows)
+    return np.array([column[start:stop] for column in values]).T.copy()
+
+
+def _constant(column):
+    """Whether every value of `column` has the bits of its first; only a
+    column whose ends agree is compared in full."""
+    bits = column.view(np.uint64)
+    return bool(bits[-1] == bits[0]) and bool((bits[1:] == bits[0]).all())
+
+
+class ResultTable:
+    """Named, unit-labelled float columns, with a metadata dict.
+    A non-finite value raises NumericalGuardError with its row in `.row`.
+
+    `ResultTable(columns, units, data)` takes a 2-D array, a row per grid
+    point and a column per name, and holds it as it is;
+    `ResultTable.from_columns` takes one 1-D array per column and holds
+    those.  `data` is a new 2-D array on each read, and `column(name)` one
+    column as the table holds it."""
+
+    __slots__ = ("columns", "units", "metadata", "_values")
 
     def __init__(self, columns, units, data, metadata=None):
-        if len(columns) != len(units):
-            raise ValueError("columns and units must have the same length")
-        if len(set(columns)) < len(columns):
-            name = next(c for i, c in enumerate(columns) if c in columns[:i])
-            raise ValueError(f"duplicate column {name!r}")
+        _check_names(columns, units)
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != len(columns):
             raise ValueError(f"data of shape {data.shape} does not match {len(columns)} columns")
         finite = np.isfinite(data)
         if np.count_nonzero(finite) < data.size:
             i, j = np.argwhere(~finite)[0]  # the first in row-major order
-            raise NumericalGuardError(
-                f"non-finite value {float(data[i, j])!r} in column {columns[j]!r}", row=int(i))
-        self.columns, self.units, self.data = columns, units, data
+            raise _non_finite(columns, data.T, i, j)
+        self._hold(columns, units, data, metadata)
+
+    @classmethod
+    def from_columns(cls, columns, units, values, metadata=None):
+        """A table of the 1-D float64 arrays `values`, one per column and
+        all of one length, held as they are, not copied: a column of one
+        value may be a zero-stride view of it (`np.broadcast_to`), and no
+        (rows, columns) array is built."""
+        _check_names(columns, units)
+        values = [np.asarray(column, dtype=float) for column in values]
+        rows = len(values[0]) if values else 0
+        if len(values) != len(columns) or any(v.shape != (rows,) for v in values):
+            shapes = [v.shape for v in values]
+            raise ValueError(f"columns of shapes {shapes} do not match {len(columns)} columns")
+        # each column is scanned alone; the error names the first non-finite
+        # value in row-major order, which the CLI labels by its row
+        bad = [(int(np.argmin(finite)), j) for j, finite in enumerate(map(np.isfinite, values))
+               if np.count_nonzero(finite) < rows]
+        if bad:
+            raise _non_finite(columns, values, *min(bad))
+        table = cls.__new__(cls)
+        table._hold(columns, units, values or np.empty((0, 0)), metadata)
+        return table
+
+    def _hold(self, columns, units, values, metadata):
+        # `values`: a (rows, columns) array, or a list of one or more columns
+        self.columns, self.units, self._values = columns, units, values
         self.metadata = {} if metadata is None else metadata
+
+    @property
+    def _rows(self):
+        values = self._values
+        return len(values) if isinstance(values, np.ndarray) else len(values[0])
+
+    def _columns(self):
+        """The columns, each a 1-D array."""
+        values = self._values
+        return values.T if isinstance(values, np.ndarray) else values
+
+    @property
+    def data(self):
+        """The values as a new (rows, columns) array."""
+        data = np.empty((self._rows, len(self.columns)))
+        for j, column in enumerate(self._columns()):
+            data[:, j] = column
+        return data
+
+    def column(self, name):
+        """The values of the column `name`, as the table holds them."""
+        return self._columns()[self.columns.index(name)]
 
     def write_csv(self, fh):
         """Write the CSV text to the file `fh`, text or binary
         (`_converter`), a block of rows at a time."""
         convert = _converter(fh)
         fh.write(convert(f"{','.join(self.columns)}\n{','.join(self.units)}\n".encode()))
-        for i in range(0, len(self.data), _CSV_BLOCK_ROWS):
-            fh.write(convert(_csv_rows(self.data[i:i + _CSV_BLOCK_ROWS])))
+        for i in range(0, self._rows, _CSV_BLOCK_ROWS):
+            fh.write(convert(_csv_rows(_block(self._values, i, i + _CSV_BLOCK_ROWS))))
 
     def write_json(self, fh):
         """Write the JSON text to the file `fh`, text or binary
-        (`_converter`), a block of values at a time.  The blocks are views
-        of `self.data`, copied only where one spans a column end, so the
+        (`_converter`), a block of values at a time.  The blocks are slices
+        of the columns, copied only where one spans a column end, so the
         writer holds the table and one encoder block (about 120 bytes per
         value).  With two rows or more, a column whose values all have the
         same bits is written as its one value's `repr`, repeated a block of
@@ -499,20 +583,17 @@ class ResultTable:
 
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         names = [json.dumps(self.columns[j]) for j in order]
-        rows = len(self.data)
+        rows, values = self._rows, self._columns()
         fh.write(own(f'{{\n  "columns": {strings(self.columns)},\n  "data": '))
-        if not self.data.size:  # no columns, or empty ones, as json.dumps writes them
+        if not (rows and self.columns):  # no columns, or empty ones, as json.dumps writes them
             fh.write(own(nested(dict.fromkeys(self.columns, []))))
         else:
             heads = [own(f"{{\n    {names[0]}: [\n      "),
                      *[own(f"\n    ],\n    {name}: [\n      ") for name in names[1:]],
                      own("\n    ]\n  }")]
             # a column of one value, to the bit (-0.0 is not 0.0), is its
-            # text repeated, a block at a time; the others are encoded.  Only
-            # the columns whose ends agree are compared in full.
-            bits = self.data.view(np.uint64)
-            same = (bits[-1] == bits[0]) & (rows > 1)
-            same[same] = (bits[1:, same] == bits[0, same]).all(axis=0)
+            # text repeated, a block at a time; the others are encoded
+            same = [rows > 1 and _constant(column) for column in values]
             varying = [j for j in order if not same[j]]
 
             def gaps():
@@ -521,7 +602,7 @@ class ResultTable:
                 fh.write(heads[0])
                 for k, j in enumerate(order):
                     if same[j]:
-                        value = own(float.__repr__(float(self.data[0, j])))
+                        value = own(float.__repr__(float(values[j][0])))
                         fh.write(value)
                         for left in range(rows - 1, 0, -_JSON_BLOCK_VALUES):
                             fh.write((sep + value) * min(left, _JSON_BLOCK_VALUES))
@@ -536,7 +617,7 @@ class ResultTable:
             size = rows * len(varying)
             for start in range(0, size, _JSON_BLOCK_VALUES):
                 stop = min(start + _JSON_BLOCK_VALUES, size)
-                parts = [self.data[max(start - k * rows, 0):stop - k * rows, varying[k]]
+                parts = [values[varying[k]][max(start - k * rows, 0):stop - k * rows]
                          for k in range(start // rows, (stop - 1) // rows + 1)]
                 block = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 # the block's first column end is value (-start - 1) % rows

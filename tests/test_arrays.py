@@ -314,13 +314,61 @@ def test_require_accepts_an_empty_array():
 
 def test_table_finiteness_check_names_column_and_row():
     # a column-major scan would meet the nan at (2, 0) first; the CLI labels
-    # the row, so the first non-finite value is taken in row-major order
+    # the row, so the first non-finite value is taken in row-major order, by
+    # both constructors (`from_columns` scans a column at a time)
     data = np.ones((3, 2))
     data[1, 1] = np.inf
     data[2, 0] = np.nan
-    with pytest.raises(NumericalGuardError, match=r"^non-finite value inf in column 'b'$") as info:
-        ResultTable(columns=["a", "b"], units=["-", "-"], data=data)
-    assert info.value.row == 1
+    for build in (ResultTable, lambda columns, units, data: ResultTable.from_columns(
+            columns, units, list(data.T))):
+        with pytest.raises(NumericalGuardError,
+                           match=r"^non-finite value inf in column 'b'$") as info:
+            build(["a", "b"], ["-", "-"], data)
+        assert info.value.row == 1
+
+
+def test_table_data_is_a_new_array_of_the_values():
+    # both constructors; -0.0 and a subnormal keep their bits
+    data = np.arange(21.0).reshape(7, 3) - 10.0
+    data[2, 1], data[4, 2] = -0.0, 5e-324
+    names, units = ["a", "b", "c"], ["-"] * 3
+    for table in (ResultTable(names, units, data),
+                  ResultTable.from_columns(names, units, [data[:, j].copy() for j in range(3)])):
+        got = table.data
+        assert got.shape == (7, 3) and got.tobytes() == data.tobytes()
+        assert table.column("b").tobytes() == data[:, 1].tobytes()
+        got[0, 0] = 99.0  # a copy: the table keeps its values
+        assert table.data.tobytes() == data.tobytes()
+    assert ResultTable.from_columns([], [], []).data.shape == (0, 0)
+
+
+@pytest.mark.parametrize("columns, values, message", [
+    (["a", "b"], [np.ones(2)], r"^columns of shapes \[\(2,\)\] do not match 2 columns$"),
+    (["a", "b"], [np.ones(2), np.ones(3)],
+     r"^columns of shapes \[\(2,\), \(3,\)\] do not match 2 columns$"),
+    (["a"], [np.ones((2, 1))], r"^columns of shapes \[\(2, 1\)\] do not match 1 columns$"),
+])
+def test_table_from_columns_rejects_mismatched_columns(columns, values, message):
+    with pytest.raises(ValueError, match=message):
+        ResultTable.from_columns(columns, ["-"] * len(columns), values)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 40, table_module._CSV_BLOCK_ROWS + 1,
+                                  table_module._JSON_BLOCK_VALUES + 1])
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -1.2345678901234567e-300])
+def test_zero_stride_column_writes_the_bytes_of_the_full_array(rows, value):
+    # a column held as a zero-stride view of its one value, as the CLI
+    # holds one, writes what the full column writes, and what the 2-D
+    # constructor's table of the same values writes
+    rng = np.random.default_rng(rows)
+    varying = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    names, units = ["b", "a", "c"], ["-"] * 3
+    full = [varying, np.full(rows, value), -varying]
+    view = [varying, np.broadcast_to(value, (rows,)), -varying]
+    for fmt in ("csv", "json"):
+        want = _text(ResultTable(names, units, np.stack(full, axis=1)), fmt)
+        assert _text(ResultTable.from_columns(names, units, full), fmt) == want
+        assert _text(ResultTable.from_columns(names, units, view), fmt) == want
 
 
 def _text(table, fmt):
@@ -683,8 +731,10 @@ def test_writer_never_holds_more_than_a_block(fmt, block):
     # has constant columns, whose JSON text is one value's repeated: a
     # column of it is more than a block
     rows = 12 * _BLOCK
-    constant = _writer_table(rows, 10)
-    constant.data[:, [3, 9]] = [0.1, -1.2345678901234567e-300]
+    table = _writer_table(rows, 10)
+    data = table.data
+    data[:, [3, 9]] = [0.1, -1.2345678901234567e-300]
+    constant = ResultTable(table.columns, table.units, data, table.metadata)
     for table in (_writer_table(rows, 10), constant):
         fh = _Writes()
         getattr(table, f"write_{fmt}")(fh)
@@ -779,7 +829,7 @@ def test_csv_encoder_decides_most_values_itself(tmp_path):
                          ids=["polariton", "cavity", "beam", "thermal"])
 def test_grid_run_holds_at_most_two_and_a_half_tables(tmp_path, command, overrides, fmt):
     # a grid run keeps its table, the columns being assembled and one
-    # encoder block: its heap peaks below 2.5 tables (README: 1.84-2.40
+    # encoder block: its heap peaks below 2.5 tables (README: 1.40-2.23
     # tables at 5000 rows)
     config = tmp_path / "run.ini"
     config.write_text(_GRID_CONFIG)
@@ -797,6 +847,57 @@ def test_grid_run_holds_at_most_two_and_a_half_tables(tmp_path, command, overrid
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * table.data.nbytes
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of `call()`, in bytes above the heap before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _grid_args(tmp_path, command, overrides, rows):
+    config = tmp_path / "run.ini"
+    config.write_text(_GRID_CONFIG)
+    points = "n_points" if command == "polariton" else "omega_points"
+    return str(config), [*overrides, f"{points}={rows}"]
+
+
+@pytest.mark.parametrize("rows", [5000, 20_000])
+@pytest.mark.parametrize("command, overrides", _GRID_KINDS,
+                         ids=["polariton", "cavity", "beam", "thermal"])
+def test_grid_compute_holds_at_most_one_and_three_quarter_tables(tmp_path, command, overrides,
+                                                                 rows):
+    # the table holds the runner's own column arrays, and each intermediate
+    # is freed once its column exists: run_command peaks at 1.10-1.57 tables
+    # (README)
+    config, overrides = _grid_args(tmp_path, command, overrides, rows)
+    params = load_config(config, command, overrides)
+    table = run_command(command, params)
+    assert len(table.data) == rows
+    assert _traced_peak(lambda: run_command(command, params)) <= 1.75 * table.data.nbytes
+
+
+@pytest.mark.parametrize("rows, fmt, tables", [(5000, "csv", 2.0), (20_000, "csv", 1.75),
+                                               (20_000, "json", 1.75)])
+@pytest.mark.parametrize("command, overrides", _GRID_KINDS,
+                         ids=["polariton", "cavity", "beam", "thermal"])
+def test_grid_run_holds_its_table_and_one_block(tmp_path, command, overrides, rows, fmt, tables):
+    # a run writes its table a block at a time: its peak is the table and one
+    # encoder block, 1.40-1.81 tables for CSV at 5000 rows, where a 512-row
+    # block is large beside the table, and under the compute's peak at
+    # 20 000 rows (README)
+    config, overrides = _grid_args(tmp_path, command, overrides, rows)
+    argv = [command, "--config", config, "--out", str(tmp_path / f"out.{fmt}"),
+            "--format", fmt, *overrides]
+    table = run_command(command, load_config(config, command, overrides))
+    assert main(argv) == 0  # the writers' lookup tables are built once, untraced
+    assert _traced_peak(lambda: main(argv)) <= tables * table.data.nbytes
 
 
 # the cavity grid, whose JSON has four constant columns, run for one row,
