@@ -298,18 +298,22 @@ def _grid_table(command, params, grid, label, columns, **metadata):
     and build the table.
 
     A one-point grid is passed as a Python float: numpy's per-call overhead
-    on 1-element arrays would cost more than the computation, and its one
-    row is held as one small array.  An array parameter is a sweep over a
-    one-point grid (see run_sweep), with a row per value and the values as
-    the first column.  A table of more rows holds the column arrays
-    themselves, a scalar value as a zero-stride view of it, so no
-    (rows, columns) matrix is built.  The table's constructor makes a
+    on 1-element arrays would cost more than the computation.  An array
+    parameter is a sweep over a one-point grid (see run_sweep), with a row
+    per value and the values as the first column.  A table of more rows
+    holds the column arrays themselves, a scalar value as a zero-stride view
+    of it, so no (rows, columns) matrix is built.  One row goes through the
+    2-D constructor as one (1, columns) array, checked finite in one call:
+    held as a 1-element array per column, it took perfbench's `small`
+    peak_heap_mb from 0.0141 to 0.0153 MB, and held as the rows of one
+    (columns, 1) array, checked a column at a time, it took `small`'s
+    call_p50_ms up 13% (6 pairs).  The table's constructors make a
     non-finite value a guard error; feasibility and guard errors, that one
     included, name their row and its value.
 
     A grid run holds at most its table, the intermediates of the column
     being formed and, as it writes, one encoder block: `run_command` peaks
-    at 1.10-1.57 tables, and a whole run at 1.40-2.23 tables at 5000 rows
+    at 1.10-1.57 tables, and a whole run at 1.40-2.22 tables at 5000 rows
     and 1.10-1.56 at 20 000 (see README).
     """
     axis, swept = grid, {}
@@ -325,7 +329,7 @@ def _grid_table(command, params, grid, label, columns, **metadata):
             # an array is reshaped, as a polariton grid swept over n_min is
             # (1, rows); a scalar is held as a zero-stride view of one
             # float64, which takes a sixth of the time of np.broadcast_to
-            return ResultTable.from_columns(names, units, [
+            return ResultTable._from_columns(names, units, [
                 values.reshape(axis.shape) if isinstance(values, np.ndarray)
                 else np.ndarray(axis.shape, float, np.float64(values), strides=(0,))
                 for values in cols.values()
@@ -505,7 +509,7 @@ def run_force(params):
     if omega.size > 1:  # the table's own columns, checked finite
         for name in ("net_pressure", "net_impulse"):
             key = f"integrated_{name}_N"
-            value = float(np.trapezoid(table.column(name), omega))
+            value = float(np.trapezoid(table._column(name), omega))
             if not math.isfinite(value):
                 raise NumericalGuardError(f"non-finite value {value!r} in {key}")
             table.metadata[key] = value

@@ -1,10 +1,11 @@
 """Tabular result container with lossless CSV and JSON serialization.
 
 The values are float64 columns, a row per grid point and a column per
-quantity, held either as one 1-D array per column (`from_columns`, which a
-grid run of several rows uses, a constant column as a zero-stride view of
-its value) or as the one 2-D array given to the constructor; `data` builds the 2-D array on
-request.  Column names are unique.  CSV layout: header row, units row, then
+quantity, each held as a 1-D array: the runner's own arrays in a CLI run (a
+constant column as a zero-stride view of its value), and the rows of the
+transpose of a 2-D array given to the constructor.  `data` builds the
+(rows, columns) array on request, and the CSV writer one block of rows at
+a time.  Column names are unique.  CSV layout: header row, units row, then
 data rows with every value as `%.16e` (17 significant digits), so doubles
 round-trip exactly.  JSON holds `columns`, `units`, `data` (one array per
 column, keyed by name) and the metadata object (constants version,
@@ -280,9 +281,9 @@ def _nearest(x):
 
 def _csv_rows(block):
     """The CSV lines of a 2-D block of rows as bytes, each value as `%.16e`."""
-    if block.size < _CSV_MIN_VALUES:
-        fmt = ",".join(["%.16e"] * block.shape[1]) + "\n"
-        return "".join([fmt % tuple(row) for row in block.tolist()]).encode()
+    if block.size < _CSV_MIN_VALUES:  # formatted as bytes, with no text to encode
+        rows, width = block.shape
+        return ((b"%.16e," * width)[:-1] + b"\n") * rows % tuple(block.ravel().tolist())
     return _csv_slots(block).translate(None, b"\0")
 
 
@@ -455,17 +456,6 @@ def _non_finite(columns, values, i, j):
         f"non-finite value {float(values[j][i])!r} in column {columns[j]!r}", row=int(i))
 
 
-def _block(values, start, stop):
-    """Rows `start:stop` of a table's values (`ResultTable._hold`) as a
-    (rows, columns) array: a view of a 2-D array, else a copy."""
-    if isinstance(values, np.ndarray):
-        return values[start:stop]
-    # the slices copied whole, then transposed in one copy, which frees the
-    # first: a stack of the slices, or a block filled a slice at a time,
-    # took 1.3-1.5 times as long (11 columns of 5000 rows)
-    return np.array([column[start:stop] for column in values]).T.copy()
-
-
 def _constant(column):
     """Whether every value of `column` has the bits of its first; only a
     column whose ends agree is compared in full."""
@@ -478,12 +468,12 @@ class ResultTable:
     A non-finite value raises NumericalGuardError with its row in `.row`.
 
     `ResultTable(columns, units, data)` takes a 2-D array, a row per grid
-    point and a column per name, and holds it as it is;
-    `ResultTable.from_columns` takes one 1-D array per column and holds
-    those.  `data` is a new 2-D array on each read, and `column(name)` one
-    column as the table holds it."""
+    point and a column per name.  The table holds its columns (`_values`),
+    here the rows of that array's transpose, not copied.  `data` is a new
+    (rows, columns) array on each read: writing into it leaves the table as
+    it is, and it cannot be assigned, so read it once and reuse it."""
 
-    __slots__ = ("columns", "units", "metadata", "_values")
+    __slots__ = ("columns", "units", "metadata", "_values", "_rows")
 
     def __init__(self, columns, units, data, metadata=None):
         _check_names(columns, units)
@@ -494,10 +484,11 @@ class ResultTable:
         if np.count_nonzero(finite) < data.size:
             i, j = np.argwhere(~finite)[0]  # the first in row-major order
             raise _non_finite(columns, data.T, i, j)
-        self._hold(columns, units, data, metadata)
+        # the transpose, whose rows are the columns
+        self._hold(columns, units, data.T, len(data), metadata)
 
     @classmethod
-    def from_columns(cls, columns, units, values, metadata=None):
+    def _from_columns(cls, columns, units, values, metadata=None):
         """A table of the 1-D float64 arrays `values`, one per column and
         all of one length, held as they are, not copied: a column of one
         value may be a zero-stride view of it (`np.broadcast_to`), and no
@@ -515,43 +506,50 @@ class ResultTable:
         if bad:
             raise _non_finite(columns, values, *min(bad))
         table = cls.__new__(cls)
-        table._hold(columns, units, values or np.empty((0, 0)), metadata)
+        table._hold(columns, units, values, rows, metadata)
         return table
 
-    def _hold(self, columns, units, values, metadata):
-        # `values`: a (rows, columns) array, or a list of one or more columns
-        self.columns, self.units, self._values = columns, units, values
+    def _hold(self, columns, units, values, rows, metadata):
+        # `values`: the columns, each a 1-D array of `rows` values, as a
+        # list or as the rows of a 2-D array
+        self.columns, self.units, self._values, self._rows = columns, units, values, rows
         self.metadata = {} if metadata is None else metadata
-
-    @property
-    def _rows(self):
-        values = self._values
-        return len(values) if isinstance(values, np.ndarray) else len(values[0])
-
-    def _columns(self):
-        """The columns, each a 1-D array."""
-        values = self._values
-        return values.T if isinstance(values, np.ndarray) else values
 
     @property
     def data(self):
         """The values as a new (rows, columns) array."""
         data = np.empty((self._rows, len(self.columns)))
-        for j, column in enumerate(self._columns()):
+        for j, column in enumerate(self._values):
             data[:, j] = column
         return data
 
-    def column(self, name):
+    def _block(self, start, stop):
+        """Rows `start:stop` as a (rows, columns) array: a view where the
+        columns are the rows of one 2-D array, as the constructor holds
+        them, else a new array filled a column slice at a time.  For 512
+        rows of ten columns the fill took 14 us, np.array of the slices then
+        a transposed copy 12 (but it holds a view per column at once), and
+        the ravel of a slice of one (columns, rows) matrix 5.6 (best of 9 x
+        500 calls, 2-CPU AMD EPYC VM; `BENCH_32.json`).  On a 1-row CLI
+        call, of 90-140 us, the fill took 11 us more than the view."""
+        if isinstance(self._values, np.ndarray):
+            return self._values[:, start:stop].T
+        block = np.empty((len(range(start, min(stop, self._rows))), len(self.columns)))
+        for j, column in enumerate(self._values):
+            block[:, j] = column[start:stop]
+        return block
+
+    def _column(self, name):
         """The values of the column `name`, as the table holds them."""
-        return self._columns()[self.columns.index(name)]
+        return self._values[self.columns.index(name)]
 
     def write_csv(self, fh):
         """Write the CSV text to the file `fh`, text or binary
-        (`_converter`), a block of rows at a time."""
+        (`_converter`), a block of rows (`_block`) at a time."""
         convert = _converter(fh)
         fh.write(convert(f"{','.join(self.columns)}\n{','.join(self.units)}\n".encode()))
-        for i in range(0, self._rows, _CSV_BLOCK_ROWS):
-            fh.write(convert(_csv_rows(_block(self._values, i, i + _CSV_BLOCK_ROWS))))
+        for start in range(0, self._rows, _CSV_BLOCK_ROWS):
+            fh.write(convert(_csv_rows(self._block(start, start + _CSV_BLOCK_ROWS))))
 
     def write_json(self, fh):
         """Write the JSON text to the file `fh`, text or binary
@@ -583,7 +581,7 @@ class ResultTable:
 
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         names = [json.dumps(self.columns[j]) for j in order]
-        rows, values = self._rows, self._columns()
+        rows, values = self._rows, self._values
         fh.write(own(f'{{\n  "columns": {strings(self.columns)},\n  "data": '))
         if not (rows and self.columns):  # no columns, or empty ones, as json.dumps writes them
             fh.write(own(nested(dict.fromkeys(self.columns, []))))

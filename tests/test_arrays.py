@@ -315,11 +315,11 @@ def test_require_accepts_an_empty_array():
 def test_table_finiteness_check_names_column_and_row():
     # a column-major scan would meet the nan at (2, 0) first; the CLI labels
     # the row, so the first non-finite value is taken in row-major order, by
-    # both constructors (`from_columns` scans a column at a time)
+    # the constructor and by `_from_columns`, which scans a column at a time
     data = np.ones((3, 2))
     data[1, 1] = np.inf
     data[2, 0] = np.nan
-    for build in (ResultTable, lambda columns, units, data: ResultTable.from_columns(
+    for build in (ResultTable, lambda columns, units, data: ResultTable._from_columns(
             columns, units, list(data.T))):
         with pytest.raises(NumericalGuardError,
                            match=r"^non-finite value inf in column 'b'$") as info:
@@ -333,13 +333,13 @@ def test_table_data_is_a_new_array_of_the_values():
     data[2, 1], data[4, 2] = -0.0, 5e-324
     names, units = ["a", "b", "c"], ["-"] * 3
     for table in (ResultTable(names, units, data),
-                  ResultTable.from_columns(names, units, [data[:, j].copy() for j in range(3)])):
+                  ResultTable._from_columns(names, units, [data[:, j].copy() for j in range(3)])):
         got = table.data
         assert got.shape == (7, 3) and got.tobytes() == data.tobytes()
-        assert table.column("b").tobytes() == data[:, 1].tobytes()
+        assert table._column("b").tobytes() == data[:, 1].tobytes()
         got[0, 0] = 99.0  # a copy: the table keeps its values
         assert table.data.tobytes() == data.tobytes()
-    assert ResultTable.from_columns([], [], []).data.shape == (0, 0)
+    assert ResultTable._from_columns([], [], []).data.shape == (0, 0)
 
 
 @pytest.mark.parametrize("columns, values, message", [
@@ -350,7 +350,7 @@ def test_table_data_is_a_new_array_of_the_values():
 ])
 def test_table_from_columns_rejects_mismatched_columns(columns, values, message):
     with pytest.raises(ValueError, match=message):
-        ResultTable.from_columns(columns, ["-"] * len(columns), values)
+        ResultTable._from_columns(columns, ["-"] * len(columns), values)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 40, table_module._CSV_BLOCK_ROWS + 1,
@@ -367,8 +367,8 @@ def test_zero_stride_column_writes_the_bytes_of_the_full_array(rows, value):
     view = [varying, np.broadcast_to(value, (rows,)), -varying]
     for fmt in ("csv", "json"):
         want = _text(ResultTable(names, units, np.stack(full, axis=1)), fmt)
-        assert _text(ResultTable.from_columns(names, units, full), fmt) == want
-        assert _text(ResultTable.from_columns(names, units, view), fmt) == want
+        assert _text(ResultTable._from_columns(names, units, full), fmt) == want
+        assert _text(ResultTable._from_columns(names, units, view), fmt) == want
 
 
 def _text(table, fmt):
@@ -829,7 +829,7 @@ def test_csv_encoder_decides_most_values_itself(tmp_path):
                          ids=["polariton", "cavity", "beam", "thermal"])
 def test_grid_run_holds_at_most_two_and_a_half_tables(tmp_path, command, overrides, fmt):
     # a grid run keeps its table, the columns being assembled and one
-    # encoder block: its heap peaks below 2.5 tables (README: 1.40-2.23
+    # encoder block: its heap peaks below 2.5 tables (README: 1.40-2.22
     # tables at 5000 rows)
     config = tmp_path / "run.ini"
     config.write_text(_GRID_CONFIG)
