@@ -1,37 +1,51 @@
 """Stage A/B: the CLI's stages in two source trees, timed in alternating
-calls in one process.
+calls.
 
     python benchmarks/ab.py TREE_A TREE_B [--stage config compute write_csv
-        write_json to_json rerun main] [--rows 5000] [--rounds 40]
+        write_json to_json rerun main start] [--rows 5000] [--rounds 40]
 
 TREE_A and TREE_B are checkouts of this repository (the parent and the
 change; the same path twice checks the harness itself).  Each tree's
 `src/photonforces` is loaded under its own module name, `photonforces_a`
-and `photonforces_b`, so both run in this one interpreter.  The kinds of
-run are the four of a grid run, polariton, cavity, beam and thermal force,
-of `--rows` rows each, and the four sweeps of perfbench's `roundtrip` ops,
-beam force over `d2_m`, ar force over `n_index`, cavity over `eps2` and
-polariton over `energy_ev`, of 500 points each.  Tree A computes each
-kind's table once.  Each stage is a function of a side, a kind and these
-shared inputs that returns a call with no arguments and the output that
-both sides must match:
-  * `config`: `load_config` on the kind's INI file, and on one more,
-    `cavity-default`, the grid file with `in1` moved into a `[DEFAULT]`
+and `photonforces_b`, so both run in this one interpreter (not at all when
+`start` is the only stage).  The kinds of run are the benchmark's own ops,
+from this checkout's `perfbench/workloads.py`, loaded by path: the first
+round of each workload at seed 1, the seed of CI's smoke runs.  They are
+the four `grid` ops, of `--rows` rows each, the first valid op of each of
+the five `small` kinds, of 1 row, and the four `roundtrip` sweeps, of 500
+points, each with its workload's config text and its own command and
+overrides.  Tree A computes each kind's table once.  Each stage is a
+function of a side, a kind and these shared inputs that returns a call
+with no arguments and the output that both sides must match:
+  * `config`: `load_config` on the kind's config, and on one more,
+    `cavity-default`, the grid config with `in1` moved into a `[DEFAULT]`
     section, which only configparser reads; the output is the params;
   * `compute`: `run_command` on the side's own params; the output is its
     table's `to_json()` text;
   * `write_csv`, `write_json` and `to_json`: the table of the side's own
-    `run_command`, laid out as the CLI lays it out, the writers writing to
-    `os.devnull`; the output is the text, none if the table's values,
-    names, units or metadata are not those of tree A's;
+    `run_command`, laid out as the CLI lays it out; the writers write bytes
+    to `open(os.devnull, "wb")`, as the CLI writes to its `--out` file, and
+    the output is the bytes an `io.BytesIO` gets, or `to_json`'s text,
+    none if the table's values, names, units or metadata are not those of
+    tree A's;
   * `rerun`: `rerun_from_json` on tree A's JSON text; the output is its
     table's `to_json()`, which must be that text again;
-  * `main`: the side's `main` on the kind's argv, CSV for a grid and JSON
-    for a sweep (as perfbench runs them), with `--out` a file in a
-    temporary directory that each call first removes, as perfbench does, so
-    that no call releases an earlier result's blocks on disk (50-80 ms on
-    ext4); the output is the file's bytes.  So this stage times the CLI's
-    own sink, whatever API the two trees' writers have.
+  * `main`: the side's `main` on the op's own argv (`Op.argv`, `--format`
+    and `--jobs` included), with `--out` a file in a temporary directory
+    that each call first removes, as perfbench does, so that no call
+    releases an earlier result's blocks on disk (50-80 ms on ext4); the
+    output is the file's bytes;
+  * `start`: a fresh interpreter, a child process, that runs
+    `import photonforces.cli` from a copy of the side's package, made once:
+    `source`, a copy with no `__pycache__`, under
+    `PYTHONDONTWRITEBYTECODE=1`, so that every import compiles it, as
+    perfbench's `setup_s` runs it where bytecode is not written; and
+    `bytecode`, a copy compiled by `compileall`, whose own `__pycache__`
+    is read (numpy and the standard library read their bytecode from where
+    they always do).  Two floors are the same on both sides and so show
+    the harness's own noise: `bare` (`pass`) and `numpy` (`import numpy`).
+    The output is the child's exit status, none unless it is 0 (and, for
+    `source`, no `__pycache__` was written).
 Before timing, the outputs are compared: any difference exits 1.
 
 Each stage and kind in turn is timed for `--rounds` rounds: A, B, B, A,
@@ -41,12 +55,17 @@ round's ratio is B's two times over A's.  One untimed call of each side
 comes first: the first call after another case refills the caches, and
 timed in a round it would fall on A in one round and on B in the next,
 splitting a fast call's ratios in two (1.36-1.45 on a 25 us `config` call,
-one tree on both sides).  The process pins itself to one CPU where it can.
+one tree on both sides).  The process pins itself to one CPU where it can,
+and its children inherit that CPU.
 Printed, one JSON line per stage and kind: each side's median and
 quartiles in ms, the median of the rounds' ratios B/A, the rounds B won,
-and each side's tracemalloc peak of one untimed call, in bytes above the
-heap before it.  `--rounds 0` checks the outputs and peaks only, timing
-nothing.
+and each side's peak of one untimed call: the tracemalloc peak in bytes
+above the heap before it, or for `start` the child's peak RSS in bytes
+(`os.wait4`'s `ru_maxrss`, which Linux gives in KiB).  Linux counts in a
+child's `ru_maxrss` the peak RSS of the process that spawned it, so
+`start` runs first, before the trees are loaded, and `bare` reads this
+harness's own peak (16.8 MB on x86-64 Linux, Python 3.11).  `--rounds 0`
+checks the outputs and peaks only, timing nothing.
 
 Not collected by pytest; CI runs it with the checkout as both trees.
 """
@@ -59,7 +78,9 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -67,74 +88,10 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
-_GRID = """
-[polariton]
-energy_ev = 1.0
-n_min = 1.0
-n_max = 3.0
-n_points = {rows}
-convention = minkowski
-
-[cavity]
-eps2 = 4.0
-d2_m = 1e-6
-omega_min_ev = 0.5
-omega_max_ev = 2.5
-omega_points = {rows}
-in1 = 1.0
-in3 = 0.5
-
-[force]
-mode = beam
-n_index = 1.5
-eps2 = 4.0
-d2_m = 1e-6
-omega_min_ev = 0.5
-omega_max_ev = 2.5
-omega_points = {rows}
-in1 = 1.0
-"""
-# one-row bases, as in perfbench's `roundtrip` config
-_SWEEP = """
-[polariton]
-energy_ev = 1.0
-n_min = 1.7
-n_max = 1.7
-n_points = 1
-mass_kg = 1.0
-convention = minkowski
-
-[cavity]
-eps2 = 6.5
-d2_m = 8e-7
-omega_min_ev = 1.3
-in1 = 1.2
-in3 = 0.25
-
-[force]
-mode = beam
-eps2 = 5.0
-d2_m = 1e-6
-omega_min_ev = 1.6
-in1 = 0.8
-area_m2 = 1.0
-n_index = 1.5
-
-[sweep]
-points = 500
-"""
-_KINDS = {
-    "polariton": ("polariton", []),
-    "cavity": ("cavity", []),
-    "beam": ("force", []),
-    "thermal": ("force", ["mode=thermal", "in1=", "t_left_k=3000", "t_right_k=300"]),
-    "sweep-beam": ("sweep", ["base=force", "parameter=d2_m", "min=1e-7", "max=2e-6"]),
-    "sweep-ar": ("sweep", ["base=force", "force.mode=ar", "parameter=n_index", "min=1.05",
-                           "max=4.0"]),
-    "sweep-cavity": ("sweep", ["base=cavity", "parameter=eps2", "min=1.2", "max=14.0"]),
-    "sweep-polariton": ("sweep", ["base=polariton", "parameter=energy_ev", "min=0.3",
-                                  "max=4.0"]),
-}
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 1
+_START = {"bare": "pass", "numpy": "import numpy", "source": "import photonforces.cli",
+          "bytecode": "import photonforces.cli"}
 
 
 def load_tree(tree, name):
@@ -149,40 +106,59 @@ def load_tree(tree, name):
     return importlib.import_module(f"{name}.cli")
 
 
+def load_workloads(rows):
+    """perfbench's workload generators, with `rows` rows in each grid op."""
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.GRID_ROWS = rows  # `grid` reads it as it builds its config and ops
+    return workloads
+
+
 def inputs_of(a, rows, tmp, sink):
-    """What both sides get: each kind's config file, command and overrides
-    (`configs`), tree A's tables (`tables`) and their JSON texts (`texts`),
-    the open `os.devnull` the writers write to (`sink`) and the temporary
-    directory (`tmp`)."""
-    grid, sweep, default = (Path(tmp) / name for name in ("grid.ini", "sweep.ini",
-                                                          "default.ini"))
-    grid.write_text(_GRID.format(rows=rows))
-    sweep.write_text(_SWEEP)
-    default.write_text("[DEFAULT]\nin1 = 1.0\n" + _GRID.format(rows=rows).replace(
-        "in1 = 1.0\n", ""))
-    configs = {kind: (str(sweep if command == "sweep" else grid), command, overrides)
-               for kind, (command, overrides) in _KINDS.items()}
-    tables = {kind: a.run_command(command, a.load_config(*configs[kind]))
-              for kind, (command, _) in _KINDS.items()}
-    configs["cavity-default"] = (str(default), "cavity", [])
-    return SimpleNamespace(configs=configs, tables=tables, sink=sink, tmp=Path(tmp),
+    """What both sides get: each kind's config file and op (`ops`), tree A's
+    tables (`tables`) and their JSON texts (`texts`), the open `os.devnull`
+    the writers write to (`sink`) and the temporary directory (`tmp`)."""
+    ops = {}
+    for name, workload in load_workloads(rows).WORKLOADS.items():
+        text, rounds = workload(SEED)
+        config = tmp / name / "run.ini"
+        config.parent.mkdir()
+        config.write_text(text)
+        for op in next(rounds):
+            if op.kind != "invalid":
+                ops.setdefault(f"{name}/{op.kind}", (config, op))
+    tables = {kind: a.cli.run_command(op.command, params(a, kind, ops))
+              for kind, (_, op) in ops.items()}
+    default = tmp / "default.ini"
+    default.write_text("[DEFAULT]\nin1 = 1.0\n" + (tmp / "grid" / "run.ini").read_text()
+                       .replace("in1 = 1.0\n", ""))
+    ops["cavity-default"] = (default, ops["grid/cavity"][1])
+    return SimpleNamespace(ops=ops, tables=tables, sink=sink, tmp=tmp,
                            texts={kind: table.to_json() for kind, table in tables.items()})
 
 
+def params(side, kind, ops):
+    config, op = ops[kind]
+    return side.cli.load_config(config, op.command, op.overrides)
+
+
 def config(side, kind, inputs):
-    call = functools.partial(side.load_config, *inputs.configs[kind])
+    path, op = inputs.ops[kind]
+    call = functools.partial(side.cli.load_config, path, op.command, op.overrides)
     return call, call()
 
 
 def compute(side, kind, inputs):
-    call = functools.partial(side.run_command, _KINDS[kind][0],
-                             side.load_config(*inputs.configs[kind]))
+    call = functools.partial(side.cli.run_command, inputs.ops[kind][1].command,
+                             params(side, kind, inputs.ops))
     return call, call().to_json()
 
 
 def writer(stage, side, kind, inputs):
     """`stage` of the table that `side`'s own `run_command` makes."""
-    table = side.run_command(_KINDS[kind][0], side.load_config(*inputs.configs[kind]))
+    table = side.cli.run_command(inputs.ops[kind][1].command, params(side, kind, inputs.ops))
     want = inputs.tables[kind]
     same = ((table.columns, table.units, table.metadata) == (want.columns, want.units,
                                                              want.metadata)
@@ -190,36 +166,67 @@ def writer(stage, side, kind, inputs):
     write = getattr(table, stage)
     if stage == "to_json":
         return write, write() if same else None
-    fh = io.StringIO()
+    fh = io.BytesIO()
     write(fh)
     return functools.partial(write, inputs.sink), fh.getvalue() if same else None
 
 
 def rerun(side, kind, inputs):
     """A rerun that does not write its source text again gives no output."""
-    call = functools.partial(side.rerun_from_json, inputs.texts[kind])
+    call = functools.partial(side.cli.rerun_from_json, inputs.texts[kind],
+                             jobs=inputs.ops[kind][1].jobs)
     text = call().to_json()
     return call, text if text == inputs.texts[kind] else None
 
 
 def main_stage(side, kind, inputs):
     """A run that does not exit 0 gives no output."""
-    path, command, overrides = inputs.configs[kind]
-    fmt = "json" if command == "sweep" else "csv"
-    out = inputs.tmp / f"main.{fmt}"
-    argv = [command, "--config", path, "--out", str(out), "--format", fmt, *overrides]
+    config, op = inputs.ops[kind]
+    out = config.parent / f"out.{op.fmt}"
+    argv = op.argv(config, out)
 
     def call():
         out.unlink(missing_ok=True)
-        return side.main(argv)
+        return side.cli.main(argv)
 
     return call, out.read_bytes() if call() == 0 else None
+
+
+def start(side, kind, inputs):
+    """A child process whose call returns its exit status and peak RSS."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    root = inputs.tmp / f"{kind}-{side.name}"
+    if kind in ("source", "bytecode"):
+        shutil.copytree(side.tree / "src" / "photonforces", root / "photonforces",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if kind == "bytecode":
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(root)], env=env,
+                           check=True)
+        env["PYTHONPATH"] = str(root)
+    argv = [sys.executable, "-c", _START[kind]]
+
+    def call():
+        proc = subprocess.Popen(argv, cwd=inputs.tmp, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        return proc.returncode, usage.ru_maxrss * 1024
+
+    code = call()[0]
+    fresh = kind != "source" or not any(root.rglob("__pycache__"))
+    return call, 0 if code == 0 and fresh else None
 
 
 STAGES = {"config": config, "compute": compute,
           **{stage: functools.partial(writer, stage)
              for stage in ("write_csv", "write_json", "to_json")},
-          "rerun": rerun, "main": main_stage}
+          "rerun": rerun, "main": main_stage, "start": start}
+
+
+def kinds_of(stage, inputs):
+    if stage == "start":
+        return list(_START)
+    return [kind for kind in inputs.ops if stage == "config" or kind != "cavity-default"]
 
 
 def peak_bytes(call):
@@ -257,20 +264,26 @@ def main(argv=None):
         os.sched_setaffinity(0, {cpu})
     except (AttributeError, OSError):
         cpu = None
-    a = load_tree(args.tree_a, "photonforces_a")
-    b = load_tree(args.tree_b, "photonforces_b")
-    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w", encoding="utf-8") as sink:
-        inputs = inputs_of(a, args.rows, tmp, sink)
+    a, b = (SimpleNamespace(tree=Path(tree).resolve(), name=name, cli=None)
+            for tree, name in ((args.tree_a, "a"), (args.tree_b, "b")))
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "wb") as sink:
+        inputs = SimpleNamespace(tmp=Path(tmp), ops={})
         differ, cases = [], []
-        for stage in args.stage:
-            for kind in inputs.configs if stage == "config" else _KINDS:
+        # `start` goes first, before the trees are loaded: a child's peak RSS
+        # counts this process's own peak RSS when it spawned the child
+        for stage in sorted(args.stage, key="start".__ne__):
+            if stage != "start" and a.cli is None:
+                a.cli, b.cli = (load_tree(side.tree, f"photonforces_{side.name}")
+                                for side in (a, b))
+                inputs = inputs_of(a, args.rows, Path(tmp), sink)
+            peak = (lambda call: call()[1]) if stage == "start" else peak_bytes
+            for kind in kinds_of(stage, inputs):
                 # the untimed calls also build what the first call builds
                 (call_a, out_a), (call_b, out_b) = (STAGES[stage](side, kind, inputs)
                                                     for side in (a, b))
                 if out_a is None or out_a != out_b:
                     differ.append(f"{stage} {kind}")
-                cases.append((stage, kind, call_a, call_b, peak_bytes(call_a),
-                              peak_bytes(call_b)))
+                cases.append((stage, kind, call_a, call_b, peak(call_a), peak(call_b)))
         if differ:
             print(f"the two trees give different outputs: {', '.join(differ)}",
                   file=sys.stderr)
@@ -285,10 +298,11 @@ def main(argv=None):
                 outer = timed_ms(first)
                 t2.append(timed_ms(second) + timed_ms(second))
                 t1.append(outer + timed_ms(first))
-            table = inputs.tables[kind if kind in _KINDS else "cavity"]  # cavity-default
-            result = {"stage": stage, "table": kind, "rows": len(table.data),
-                      "rounds": args.rounds,
-                      "cpu": cpu, "peak_bytes": {"a": peak_a, "b": peak_b}}
+            result = {"stage": stage, "kind": kind, "rounds": args.rounds, "cpu": cpu,
+                      "peak_rss_bytes" if stage == "start" else "peak_bytes":
+                      {"a": peak_a, "b": peak_b}}
+            if kind in inputs.ops:
+                result["rows"] = inputs.ops[kind][1].rows
             if ta:
                 ratios = [y / x for x, y in zip(ta, tb)]
                 result.update(a=summary([t / 2 for t in ta]), b=summary([t / 2 for t in tb]),
