@@ -23,11 +23,11 @@ with no arguments and the output that both sides must match:
   * `compute`: `run_command` on the side's own params; the output is its
     table's `to_json()` text;
   * `write_csv`, `write_json` and `to_json`: the table of the side's own
-    `run_command`, laid out as the CLI lays it out; the writers write bytes
-    to `open(os.devnull, "wb")`, as the CLI writes to its `--out` file, and
-    the output is the bytes an `io.BytesIO` gets, or `to_json`'s text,
-    none if the table's values, names, units or metadata are not those of
-    tree A's;
+    `run_command`, in the layout its `ResultTable` sets; the writers write
+    bytes to `open(os.devnull, "wb")`, as the CLI writes to its `--out`
+    file, and the output is the bytes an `io.BytesIO` gets, or `to_json`'s
+    text, none if the table's values, names, units or metadata are not
+    those of tree A's;
   * `rerun`: `rerun_from_json` on tree A's JSON text; the output is its
     table's `to_json()`, which must be that text again;
   * `main`: the side's `main` on the op's own argv (`Op.argv`, `--format`

@@ -300,14 +300,7 @@ def _grid_table(command, params, grid, label, columns, **metadata):
     A one-point grid is passed as a Python float: numpy's per-call overhead
     on 1-element arrays would cost more than the computation.  An array
     parameter is a sweep over a one-point grid (see run_sweep), with a row
-    per value and the values as the first column.  A table of more rows
-    holds the column arrays themselves, a scalar value as a zero-stride view
-    of it, so no (rows, columns) matrix is built.  One row goes through the
-    2-D constructor as one (1, columns) array, checked finite in one call:
-    held as a 1-element array per column, it took perfbench's `small`
-    peak_heap_mb from 0.0141 to 0.0153 MB, and held as the rows of one
-    (columns, 1) array, checked a column at a time, it took `small`'s
-    call_p50_ms up 13% (6 pairs).  The table's constructors make a
+    per value and the values as the first column.  The table makes a
     non-finite value a guard error; feasibility and guard errors, that one
     included, name their row and its value.
 
@@ -322,22 +315,9 @@ def _grid_table(command, params, grid, label, columns, **metadata):
             axis, label, swept = value, f"{key}={{:g}}".format, {key: value}
     try:
         cols = {**swept, **columns(grid.item() if grid.size == 1 else grid)}
-        names = list(cols)
-        units = [_UNITS.get(name, "-") for name in cols]
         metadata = {**_BASE_METADATA, "command": command, "config": dict(params), **metadata}
-        if axis.size > 1:
-            # an array is reshaped, as a polariton grid swept over n_min is
-            # (1, rows); a scalar is held as a zero-stride view of one
-            # float64, which takes a sixth of the time of np.broadcast_to
-            return ResultTable._from_columns(names, units, [
-                values.reshape(axis.shape) if isinstance(values, np.ndarray)
-                else np.ndarray(axis.shape, float, np.float64(values), strides=(0,))
-                for values in cols.values()
-            ], metadata)
-        data = np.empty((1, len(cols)))
-        for j, values in enumerate(cols.values()):
-            data[:, j] = values
-        return ResultTable(names, units, data, metadata)
+        return ResultTable._from_columns(list(cols), [_UNITS.get(name, "-") for name in cols],
+                                         cols.values(), metadata)
     except (FeasibilityError, NumericalGuardError) as exc:
         raise type(exc)(f"row {exc.row} ({label(axis[exc.row])}): {exc}") from exc
 
@@ -362,7 +342,8 @@ def run_polariton(params):
     hw = photon.energy
     # hbar*k0 and v_before can underflow to 0: divide by them as numpy does, in every row
     hk0 = np.float64(HBAR * photon.k0)
-    grid = _linspace(params["n_min"], params["n_max"], params, "n_points")
+    # a sweep over n_min or n_max makes the grid (1, rows)
+    grid = _linspace(params["n_min"], params["n_max"], params, "n_points").ravel()
 
     def columns(n):
         block = kin.MediumBlock(n=n, M=params["mass_kg"])

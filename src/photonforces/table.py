@@ -1,21 +1,23 @@
 """Tabular result container with lossless CSV and JSON serialization.
 
 The values are float64 columns, a row per grid point and a column per
-quantity, each held as a 1-D array: the runner's own arrays in a CLI run (a
-constant column as a zero-stride view of its value), and the rows of the
-transpose of a 2-D array given to the constructor.  `data` builds the
-(rows, columns) array on request, and the CSV writer one block of rows at
-a time.  Column names are unique.  CSV layout: header row, units row, then
-data rows with every value as `%.16e` (17 significant digits), so doubles
-round-trip exactly.  JSON holds `columns`, `units`, `data` (one array per
-column, keyed by name) and the metadata object (constants version,
-convention flags, and the resolved run configuration for reproducibility),
-with sorted keys, a 2-space indent and one value per line: the text of
-`json.dumps(payload, indent=2, sort_keys=True)`.  Values are written as
-Python's shortest round-trip `repr`, so they too read back exactly.
-`write_csv(fh)` / `write_json(fh)` write each format a block at a time to a
-binary file as bytes, or to a text file (an `io.TextIOBase`) as their text;
-`to_json()` is the JSON writer into a `StringIO`.
+quantity, each a 1-D array, in the layouts that `ResultTable._from_columns`
+sets out and only this module reads: a CLI run's own column arrays where it
+has more than one row (a constant column as a zero-stride view of its
+value), else the rows of one 2-D array, a 1-row run's values or the
+transpose of the array given to the constructor.  `data` builds the (rows,
+columns) array on request, and the CSV writer one block of rows at a time
+(`_block`).  Column names are unique.  CSV layout: header row, units row,
+then data rows with every value as `%.16e` (17 significant digits), so
+doubles round-trip exactly.  JSON holds `columns`, `units`, `data` (one
+array per column, keyed by name) and the metadata object (constants
+version, convention flags, and the resolved run configuration for
+reproducibility), with sorted keys, a 2-space indent and one value per
+line: the text of `json.dumps(payload, indent=2, sort_keys=True)`.  Values
+are written as Python's shortest round-trip `repr`, so they too read back
+exactly.  `write_csv(fh)` / `write_json(fh)` write each format a block at a
+time to a binary file as bytes, or to a text file (an `io.TextIOBase`) as
+their text; `to_json()` is the JSON writer into a `StringIO`.
 
 CSV rows are encoded as arrays, `_CSV_BLOCK_ROWS` rows at a time, into the
 bytes `%.16e` writes.  Each nonzero |x| is scaled to
@@ -443,17 +445,14 @@ def _converter(fh):
     return lambda data: data
 
 
-def _check_names(columns, units):
-    if len(columns) != len(units):
-        raise ValueError("columns and units must have the same length")
-    if len(set(columns)) < len(columns):
-        name = next(c for i, c in enumerate(columns) if c in columns[:i])
-        raise ValueError(f"duplicate column {name!r}")
-
-
-def _non_finite(columns, values, i, j):
-    return NumericalGuardError(
-        f"non-finite value {float(values[j][i])!r} in column {columns[j]!r}", row=int(i))
+def _filled(shape, columns):
+    """A new array of `shape`, (rows, len(columns)), whose column j holds
+    `columns[j]`: `rows` values, or one."""
+    block = np.empty(shape)
+    out = block.T  # a row index takes 0.6 us less per 11 columns than block[:, j]
+    for j, column in enumerate(columns):
+        out[j] = column
+    return block
 
 
 def _constant(column):
@@ -468,76 +467,95 @@ class ResultTable:
     A non-finite value raises NumericalGuardError with its row in `.row`.
 
     `ResultTable(columns, units, data)` takes a 2-D array, a row per grid
-    point and a column per name.  The table holds its columns (`_values`),
-    here the rows of that array's transpose, not copied.  `data` is a new
-    (rows, columns) array on each read: writing into it leaves the table as
-    it is, and it cannot be assigned, so read it once and reuse it."""
+    point and a column per name, and holds the rows of its transpose, not
+    copied (`_from_columns` sets out the layouts).  `data` is a new (rows,
+    columns) array on each read: writing into it leaves the table as it
+    is, and it cannot be assigned, so read it once and reuse it."""
 
     __slots__ = ("columns", "units", "metadata", "_values", "_rows")
 
     def __init__(self, columns, units, data, metadata=None):
-        _check_names(columns, units)
         data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != len(columns):
-            raise ValueError(f"data of shape {data.shape} does not match {len(columns)} columns")
-        finite = np.isfinite(data)
-        if np.count_nonzero(finite) < data.size:
-            i, j = np.argwhere(~finite)[0]  # the first in row-major order
-            raise _non_finite(columns, data.T, i, j)
-        # the transpose, whose rows are the columns
-        self._hold(columns, units, data.T, len(data), metadata)
+        self._hold(columns, units, data, len(data) if data.ndim else 0, metadata)
 
     @classmethod
     def _from_columns(cls, columns, units, values, metadata=None):
-        """A table of the 1-D float64 arrays `values`, one per column and
-        all of one length, held as they are, not copied: a column of one
-        value may be a zero-stride view of it (`np.broadcast_to`), and no
-        (rows, columns) array is built."""
-        _check_names(columns, units)
-        values = [np.asarray(column, dtype=float) for column in values]
-        rows = len(values[0]) if values else 0
-        if len(values) != len(columns) or any(v.shape != (rows,) for v in values):
-            shapes = [v.shape for v in values]
-            raise ValueError(f"columns of shapes {shapes} do not match {len(columns)} columns")
-        # each column is scanned alone; the error names the first non-finite
-        # value in row-major order, which the CLI labels by its row
-        bad = [(int(np.argmin(finite)), j) for j, finite in enumerate(map(np.isfinite, values))
-               if np.count_nonzero(finite) < rows]
-        if bad:
-            raise _non_finite(columns, values, *min(bad))
+        """A table of `values`, one per column, each a 1-D float64 array or
+        a number, a float (np.float64 is one).  The row count is the first
+        array's length, 1 where every value is a number, and each layout
+        keeps what one kind of run costs:
+          * more rows: each array is held as it is, not copied, and a number
+            as a zero-stride view of one float64 (a sixth of the time of
+            `np.broadcast_to`), so no (rows, columns) matrix is built;
+          * one row: the values, numbers or 1-element arrays, are held as
+            the rows of one (columns, 1) array, checked by its shape and
+            finite in one call, whose blocks are views (`_block`; a fill
+            took 11 us more of a 90-140 us call).  A 1-row CLI call is
+            perfbench's `small` op: held as a 1-element array per column,
+            its peak_heap_mb went from 0.0141 to 0.0153 MB, and checked a
+            column at a time, its call_p50_ms rose 13% (6 pairs)."""
+        rows = min(len(values), 1)
+        for value in values:
+            if not isinstance(value, float):  # half the time of testing for an array
+                rows = np.size(value)
+                break
+        if rows == 1:
+            values = _filled((1, len(values)), values)
+        else:
+            values = [np.ndarray((rows,), float, np.float64(v), strides=(0,))
+                      if isinstance(v, float) else np.asarray(v, dtype=float) for v in values]
         table = cls.__new__(cls)
         table._hold(columns, units, values, rows, metadata)
         return table
 
     def _hold(self, columns, units, values, rows, metadata):
-        # `values`: the columns, each a 1-D array of `rows` values, as a
-        # list or as the rows of a 2-D array
+        """Hold `values`, a (rows, columns) array (as its transpose) or a list
+        of 1-D arrays of `rows` values, once its names, shapes and values pass."""
+        if len(columns) != len(units):
+            raise ValueError("columns and units must have the same length")
+        if len(set(columns)) < len(columns):
+            name = next(c for i, c in enumerate(columns) if c in columns[:i])
+            raise ValueError(f"duplicate column {name!r}")
+        finite = False
+        if isinstance(values, np.ndarray):
+            if values.ndim != 2 or values.shape[1] != len(columns):
+                raise ValueError(
+                    f"data of shape {values.shape} does not match {len(columns)} columns")
+            finite = np.count_nonzero(np.isfinite(values)) == values.size  # in one call
+            values = values.T
+        elif len(values) != len(columns) or any(v.shape != (rows,) for v in values):
+            shapes = [v.shape for v in values]
+            raise ValueError(f"columns of shapes {shapes} do not match {len(columns)} columns")
+        if not finite:
+            # a column at a time; the error names the first non-finite value
+            # in row-major order, which the CLI labels by its row
+            bad = [(int(np.argmin(ok)), j) for j, ok in enumerate(map(np.isfinite, values))
+                   if np.count_nonzero(ok) < rows]
+            if bad:
+                i, j = min(bad)
+                raise NumericalGuardError(
+                    f"non-finite value {float(values[j][i])!r} in column {columns[j]!r}", row=i)
         self.columns, self.units, self._values, self._rows = columns, units, values, rows
         self.metadata = {} if metadata is None else metadata
 
     @property
     def data(self):
         """The values as a new (rows, columns) array."""
-        data = np.empty((self._rows, len(self.columns)))
-        for j, column in enumerate(self._values):
-            data[:, j] = column
-        return data
+        block = self._block(0, self._rows)
+        return block.copy() if isinstance(self._values, np.ndarray) else block
 
     def _block(self, start, stop):
         """Rows `start:stop` as a (rows, columns) array: a view where the
-        columns are the rows of one 2-D array, as the constructor holds
-        them, else a new array filled a column slice at a time.  For 512
-        rows of ten columns the fill took 14 us, np.array of the slices then
-        a transposed copy 12 (but it holds a view per column at once), and
-        the ravel of a slice of one (columns, rows) matrix 5.6 (best of 9 x
-        500 calls, 2-CPU AMD EPYC VM; `BENCH_32.json`).  On a 1-row CLI
-        call, of 90-140 us, the fill took 11 us more than the view."""
+        columns are the rows of one 2-D array, else a new array filled a
+        column slice at a time.  For 512 rows of ten columns the fill took
+        14 us, np.array of the slices then a transposed copy 12 (but it
+        holds a view per column at once), and the ravel of a slice of one
+        (columns, rows) matrix 5.6 (best of 9 x 500 calls, 2-CPU AMD EPYC
+        VM; `BENCH_32.json`)."""
         if isinstance(self._values, np.ndarray):
             return self._values[:, start:stop].T
-        block = np.empty((len(range(start, min(stop, self._rows))), len(self.columns)))
-        for j, column in enumerate(self._values):
-            block[:, j] = column[start:stop]
-        return block
+        return _filled((len(range(start, min(stop, self._rows))), len(self.columns)),
+                       (column[start:stop] for column in self._values))
 
     def _column(self, name):
         """The values of the column `name`, as the table holds them."""

@@ -325,6 +325,14 @@ def test_table_finiteness_check_names_column_and_row():
                            match=r"^non-finite value inf in column 'b'$") as info:
             build(["a", "b"], ["-", "-"], data)
         assert info.value.row == 1
+    # one row, of numbers and 1-element arrays, checked in one call
+    for values, message in (
+            ([1.0, np.float64(-np.inf), 2.0], "-inf in column 'b'"),
+            ([np.ones(1), 2.0, np.array([np.nan])], "nan in column 'c'"),
+            ([np.array([np.inf]), 2.0, np.ones(1)], "inf in column 'a'")):
+        with pytest.raises(NumericalGuardError, match=rf"^non-finite value {message}$") as info:
+            ResultTable._from_columns(list("abc"), ["-"] * 3, values)
+        assert info.value.row == 0
 
 
 def test_table_data_is_a_new_array_of_the_values():
@@ -340,6 +348,14 @@ def test_table_data_is_a_new_array_of_the_values():
         got[0, 0] = 99.0  # a copy: the table keeps its values
         assert table.data.tobytes() == data.tobytes()
     assert ResultTable._from_columns([], [], []).data.shape == (0, 0)
+    # one row of numbers is held as one 2-D array, the layout that keeps a
+    # 1-row CLI call's peak heap down, and `data` is still a copy
+    table = ResultTable._from_columns(names, units, [-10.0, np.float64(-0.0), 5e-324])
+    assert isinstance(table._values, np.ndarray)
+    got = table.data
+    assert got.tobytes() == np.array([[-10.0, -0.0, 5e-324]]).tobytes()
+    got[0, 0] = 99.0
+    assert table.data[0, 0] == -10.0
 
 
 @pytest.mark.parametrize("columns, values, message", [
@@ -365,10 +381,12 @@ def test_zero_stride_column_writes_the_bytes_of_the_full_array(rows, value):
     names, units = ["b", "a", "c"], ["-"] * 3
     full = [varying, np.full(rows, value), -varying]
     view = [varying, np.broadcast_to(value, (rows,)), -varying]
+    number = [varying, value, -varying]  # a Python float, laid out by the table
     for fmt in ("csv", "json"):
         want = _text(ResultTable(names, units, np.stack(full, axis=1)), fmt)
         assert _text(ResultTable._from_columns(names, units, full), fmt) == want
         assert _text(ResultTable._from_columns(names, units, view), fmt) == want
+        assert _text(ResultTable._from_columns(names, units, number), fmt) == want
 
 
 def _text(table, fmt):

@@ -10,12 +10,14 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -1040,7 +1042,34 @@ class TestSerialization:
         assert "average" in table.metadata["total_photon_number"]
 
 
+def _readme_example():
+    """README's example config, from `[polariton]` to `points = 50`, and
+    its `photonforces ...` command lines, each as the argv after the name."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    start = text.index("[polariton]\nenergy_ev")
+    config = text[start:text.index("points = 50\n", start) + len("points = 50\n")]
+    block = text[text.index("```\nphotonforces ", start) + 4:]
+    block = block[:block.index("```")]
+    return config, [shlex.split(line)[1:] for line in block.splitlines()]
+
+
 class TestMainEntry:
+    def test_readme_example_runs(self, tmp_path, monkeypatch, capsys):
+        # README's config with its own command lines, and the bare force and
+        # sweep runs that it configures
+        config, commands = _readme_example()
+        assert len(commands) == 4
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text(config)
+        for argv in [*commands, ["force", "--config", "run.ini"],
+                     ["sweep", "--config", "run.ini"]]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, ""), argv
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            assert (Path(out).read_text() if out else captured.out).strip(), argv
+
     def test_success_csv(self, config_path, tmp_path, capsys):
         out = tmp_path / "out.csv"
         code = main(["polariton", "--config", config_path, "--out", str(out)])

@@ -29,10 +29,10 @@ PHOTON = PhotonInput(OMEGA)
 BLOCK = MediumBlock(1.5, 1.0)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_json_nor_configparser():
+def test_importing_the_cli_loads_none_of_dataclasses_json_configparser_argparse():
     src = os.path.dirname(os.path.dirname(photonforces.__file__))
-    code = ("import sys, photonforces.cli; "
-            "print(sorted({'dataclasses', 'json', 'configparser'} & set(sys.modules)))")
+    code = ("import sys, photonforces.cli; print(sorted("
+            "{'dataclasses', 'json', 'configparser', 'argparse'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
